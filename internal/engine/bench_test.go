@@ -98,8 +98,8 @@ func BenchmarkLimitEarlyTermination(b *testing.B) {
 	benchQuery(b, "SELECT x, y FROM d LIMIT 10")
 }
 
-// benchQueryPar is benchQuery on a 4-worker engine: the serial-vs-parallel
-// pairs below are the BENCH_4.json record. Run with -cpu 4 (or more) —
+// benchQueryPar is benchQuery on a 4-worker engine: the pairs below compare
+// one worker with four. Run with -cpu 4 (or more) —
 // under GOMAXPROCS=1 the workers time-slice one core and parallel can only
 // measure its own overhead.
 func benchQueryPar(b *testing.B, sql string) {

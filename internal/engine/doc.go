@@ -7,38 +7,42 @@
 // The engine compiles a plan.Node tree (the shared logical IR produced by
 // plan.FromAST and rewritten by plan.Optimize) block by block — the block
 // decomposition and the column-requirement analysis behind scan pushdown
-// both come from plan.Block, never re-derived here — into a pull-based,
-// batch-at-a-time iterator pipeline (volcano with row batches): scans,
-// filters, projections, join probes, DISTINCT and LIMIT stream; GROUP BY,
-// window functions and ORDER BY are pipeline breakers that materialize
-// their input. Scan nodes carry pruned column sets and pushed predicates
-// into the source's scans, so unused columns never leave storage.
-// Engine.Select drains the pipeline into a materialized Result; Engine.Open
-// exposes the pipeline itself so fragment chains and network nodes can
-// process batches without holding whole intermediate relations.
+// both come from plan.Block, never re-derived here. Each block compiles
+// once (Engine.openBlock) into a segment: a morsel source plus the stages
+// that run on every morsel — scan filter and projection, residual filters,
+// join probes, the select list, DISTINCT and GROUP BY key computation. A
+// driver (parallel.go) pulls the segment with the block's worker count;
+// LIMIT truncates its output, and GROUP BY, window functions and ORDER BY
+// are pipeline breakers that materialize it. The result is a pull-based,
+// batch-at-a-time iterator: Engine.Select drains it into a materialized
+// Result; Engine.Open exposes it so fragment chains and network nodes can
+// process batches without holding whole intermediate relations. Scan nodes
+// carry pruned column sets and pushed predicates into the source's scans,
+// so unused columns never leave storage.
+//
+// The worker count is one number per block: WithParallelism(n), or 1 for a
+// block with a streaming LIMIT (so its O(limit + batch) storage-read
+// guarantee holds). With n > 1, workers pull sequence-numbered morsels from
+// a shared cursor and an order-preserving exchange re-emits their output in
+// morsel order; GROUP BY folds groups in parallel and hash-join builds are
+// hash-partitioned across workers. With one worker the exchange is elided:
+// the same stages run on the consumer's goroutine, one morsel per pull.
+// Because the exchange restores morsel order — and each group folds its
+// rows in that order — results are row-identical (floats included) and
+// accounting-identical for every worker count: it is purely a performance
+// knob.
 //
 // Over sources that serve column batches (ColScanner; storage.Store does),
 // the hot paths run vectorized: filter conjuncts compile into comparison
 // kernels over typed vectors refining a selection vector (vecscan.go, with
 // the non-kernelizable suffix evaluated row-at-a-time on pivoted
-// survivors), numeric projections evaluate vector-at-a-time
-// (vecproject.go), and simple DISTINCT and GROUP BY blocks skip row
-// pipelines entirely (vecblock.go, vecgroup.go). Every vectorized path is
-// an internal fast path pinned bit-identical to the row path — same rows,
-// order, and error text — and declines to the row path whenever exact
-// semantics would be at risk (windows, sorts, boxed vectors, non-numeric
-// expressions). Hashed operators share one key definition,
+// survivors), pure equi-joins probe and gather by selection vector
+// (vecjoin.go), and — when a single-table block runs with one worker —
+// numeric projections, simple DISTINCT and GROUP BY blocks skip the row
+// stages entirely (vecproject.go, vecblock.go, vecgroup.go). Every
+// vectorized path is an internal fast path pinned bit-identical to the row
+// stages — same rows, order, and error text — and declines to them whenever
+// exact semantics would be at risk (windows, sorts, boxed vectors,
+// non-numeric expressions). Hashed operators share one key definition,
 // schema.AppendGroupKey, built alloc-free from rows or vectors alike.
-//
-// With WithParallelism(n), n > 1, streamable segments run morsel-parallel
-// (parallel.go): n workers pull sequence-numbered morsels from a shared
-// cursor, apply per-worker scan/filter/probe/projection stages, and an
-// order-preserving exchange re-emits their output in morsel order. GROUP BY
-// partitions its key computation across workers and folds groups in
-// parallel; hash-join builds are hash-partitioned across workers. Because
-// the exchange restores serial order — and each group folds its rows in
-// serial order — parallel execution is row-identical (floats included) and
-// accounting-identical to serial execution: the worker count is purely a
-// performance knob. Blocks with a streaming LIMIT stay serial to preserve
-// their O(limit + batch) storage-read guarantee.
 package engine

@@ -16,8 +16,8 @@ var ErrQuery = errors.New("engine: query error")
 
 // Source supplies base relations by name. storage.Store implements it;
 // the network simulator implements it per node. Sources that additionally
-// implement BatchSource are scanned batch-at-a-time with projection and
-// predicate pushdown instead of being materialized.
+// implement BatchSource are scanned batch-at-a-time instead of being
+// materialized.
 type Source interface {
 	Relation(name string) (*schema.Relation, schema.Rows, error)
 }
@@ -37,20 +37,19 @@ type Engine struct {
 	par int
 }
 
-// New creates an engine over the given source. Execution is serial by
-// default; WithParallelism opts pipelines into morsel-driven parallel
-// execution.
+// New creates an engine over the given source. Pipelines run with one
+// worker by default; WithParallelism raises the count.
 func New(src Source) *Engine { return &Engine{src: src, par: 1} }
 
-// WithParallelism sets the number of worker goroutines each compiled
-// pipeline may use for its streamable segments (scan, filter, projection,
-// join probe, DISTINCT, GROUP BY partitioning): n <= 0 means
-// runtime.GOMAXPROCS(0), 1 keeps execution serial. Parallel pipelines are
-// row- and order-identical to serial ones — the exchange re-emits worker
-// output in morsel order (see parallel.go) — so the setting is purely a
-// performance knob. It returns the engine for chaining and must be called
-// before Open; an Engine must not be reconfigured while pipelines are
-// open.
+// WithParallelism sets the number of workers each compiled block may use
+// for its streamable segment (scan, filter, projection, join probe,
+// DISTINCT, GROUP BY partitioning): n <= 0 means runtime.GOMAXPROCS(0); 1
+// runs every segment on the consumer's goroutine. Every block compiles the
+// same way for any n, and the exchange re-emits worker output in morsel
+// order (see parallel.go), so results are row- and order-identical across
+// worker counts — the setting is purely a performance knob. It returns the
+// engine for chaining and must be called before Open; an Engine must not be
+// reconfigured while pipelines are open.
 func (e *Engine) WithParallelism(n int) *Engine {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -59,7 +58,7 @@ func (e *Engine) WithParallelism(n int) *Engine {
 	return e
 }
 
-// Parallelism reports the configured worker count (1 = serial).
+// Parallelism reports the configured worker count.
 func (e *Engine) Parallelism() int { return e.par }
 
 // Catalog adapts the engine's source into the optimizer's catalog: column
@@ -139,23 +138,22 @@ func (e *Engine) Open(ctx context.Context, root plan.Node) (*schema.Relation, sc
 }
 
 // openBlock compiles one query block (plan.SplitBlock — the single owner of
-// the block-shape rule) into its output schema and iterator, taking the
-// morsel-parallel path (parallel.go) when the engine is configured for it
-// and the block shape is eligible.
+// the block-shape rule) into its output schema and iterator. Every block
+// compiles once, into a segment (parallel.go); the only execution choice is
+// how many workers drive it.
 func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation, schema.RowIterator, error) {
 	blk, src := plan.SplitBlock(top)
 
-	if e.parallelizable(blk) {
-		rel, it, ok, err := e.openBlockParallel(ctx, blk, src)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			return rel, it, nil
-		}
+	// A streaming LIMIT (no breaker below it) runs with one worker: its
+	// early-termination guarantee — a LIMIT-n query reads O(n + batch) rows
+	// from storage — would be destroyed by workers prefetching morsels past
+	// the cutoff.
+	workers := e.par
+	if blk.Limit != nil && blk.Agg == nil && blk.Win == nil && blk.Sort == nil {
+		workers = 1
 	}
 
-	if s, ok := src.(*plan.Scan); ok {
+	if s, ok := src.(*plan.Scan); ok && workers == 1 {
 		rel, it, ok, err := e.openVecBlock(ctx, s, blk)
 		if err != nil {
 			return nil, nil, err
@@ -165,37 +163,51 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 		}
 	}
 
-	b, it, err := e.openSource(ctx, src, blk)
+	seg, err := e.openSegment(ctx, src, blk, workers)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	if blk.Agg != nil || blk.Win != nil || blk.Sort != nil {
-		rel, rows, err := e.evalBroken(blk, b, it)
+		var rel *schema.Relation
+		var rows schema.Rows
+		if blk.Agg != nil {
+			rel, rows, err = e.evalGrouped(blk, seg)
+		} else {
+			rel, rows, err = e.evalBroken(blk, seg.b, seg.iterator())
+		}
 		if err != nil {
 			return nil, nil, err
 		}
 		return rel, schema.WithContext(ctx, schema.IterateRows(rows, schema.DefaultBatchSize)), nil
 	}
 
-	p, err := buildProjector(blk.Items(), b)
+	p, err := buildProjector(blk.Items(), seg.b)
 	if err != nil {
-		it.Close()
+		seg.close()
 		return nil, nil, err
 	}
-	out := schema.RowIterator(&projIter{src: it, p: p, env: (&rowEnv{b: b}).reuse()})
-	// An all-plain-column projection directly over a vectorized join folds
-	// into the join's output gather: the combined wide rows are never
-	// materialized and the projector stage disappears. Any filter between
-	// them wraps the iterator, so this only fires on the bare join head.
-	if vj, ok := it.(*vecJoinIter); ok && !p.identity {
-		if om, omOK := projOutMap(p); omOK {
-			vj.ex.core.retarget(om)
-			out = it
+	if !p.identity {
+		// An all-plain-column projection directly over a vectorized join
+		// (no intervening stages — residual filters would see the combined
+		// layout) folds into the join's output gather: the combined wide
+		// rows are never materialized and the projection stage disappears.
+		retargeted := false
+		if vm, ok := seg.ms.(*vecJoinMorsels); ok && len(seg.mk) == 0 {
+			if om, omOK := projOutMap(p); omOK {
+				vm.core.retarget(om)
+				retargeted = true
+			}
+		}
+		if !retargeted {
+			seg.mk = append(seg.mk, projStage(p, seg.b))
 		}
 	}
+	var out schema.RowIterator
 	if blk.Distinct != nil {
-		out = &distinctIter{src: out, seen: make(map[string]bool)}
+		out = &distinctMergeIter{x: newExchange(seg, distinctKeys()), seen: make(map[string]bool)}
+	} else {
+		out = seg.iterator()
 	}
 	if blk.Limit != nil {
 		n := int(blk.Limit.N)
@@ -206,65 +218,60 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 	}
 	// Bind the pipeline head to ctx as well: sources are contracted to
 	// check ctx inside their scans, but this guarantees cancellation for
-	// any Source implementation (overlays, fan-in shards, adapters).
+	// any Source implementation (overlays, fan-in shards, adapters) and
+	// for a cancellation error overtaken inside the exchange.
 	return p.rel, schema.WithContext(ctx, out), nil
 }
 
-// openSource compiles a block's source node and applies the block's residual
-// filters — pushed into the scan when the source is a single relation,
-// wrapped as filter operators otherwise.
-func (e *Engine) openSource(ctx context.Context, src plan.Node, blk *plan.Block) (*binding, schema.RowIterator, error) {
-	if s, ok := src.(*plan.Scan); ok {
-		return e.openPlanScan(ctx, s, blk) // folds the filters into the scan itself
-	}
-	filters := blk.FilterConds()
+// openSegment compiles a block's source node into a segment and applies the
+// block's residual filters — folded into the scan when the source is a
+// single relation, appended as filter stages otherwise.
+func (e *Engine) openSegment(ctx context.Context, src plan.Node, blk *plan.Block, workers int) (*parSeg, error) {
+	var seg *parSeg
+	var err error
 	switch x := src.(type) {
+	case *plan.Scan:
+		return e.openScanSeg(ctx, x, blk, workers) // folds the filters into the scan itself
 	case *plan.Values:
-		b := &binding{}
-		var it schema.RowIterator = schema.IterateRows(schema.Rows{{}}, 1)
-		return b, filterWrap(it, b, filters), nil
-	case *plan.Derived:
-		rel, it, err := e.openBlock(ctx, x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		b := bindingFromRelation(rel, x.Alias)
-		return b, filterWrap(it, b, filters), nil
+		// A single synthetic row.
+		seg = &parSeg{b: &binding{}, it: schema.IterateRows(schema.Rows{{}}, 1), workers: workers}
 	case *plan.Join:
-		b, it, err := e.openJoin(ctx, x)
-		if err != nil {
-			return nil, nil, err
-		}
-		return b, filterWrap(it, b, filters), nil
+		seg, err = e.openJoin(ctx, x, workers)
 	default:
-		// A nested operator chain without a Derived marker: compile it as
-		// its own block and bind the output unqualified.
-		rel, it, err := e.openBlock(ctx, src)
-		if err != nil {
-			return nil, nil, err
-		}
-		b := bindingFromRelation(rel, "")
-		return b, filterWrap(it, b, filters), nil
+		seg, err = e.openSubBlock(ctx, src, workers)
 	}
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range blk.FilterConds() {
+		seg.mk = append(seg.mk, filterStage(seg.b, c))
+	}
+	return seg, nil
 }
 
-// filterWrap applies residual filter conditions as streaming operators.
-func filterWrap(it schema.RowIterator, b *binding, conds []sqlparser.Expr) schema.RowIterator {
-	for _, c := range conds {
-		it = &filterIter{src: it, env: (&rowEnv{b: b}).reuse(), cond: c}
+// openSubBlock compiles a nested block (which picks its own worker count)
+// and exposes its output iterator as a segment source: a derived table under
+// its alias, any other nested operator chain bound unqualified.
+func (e *Engine) openSubBlock(ctx context.Context, n plan.Node, workers int) (*parSeg, error) {
+	alias := ""
+	if d, ok := n.(*plan.Derived); ok {
+		n, alias = d.Input, d.Alias
 	}
-	return it
+	rel, it, err := e.openBlock(ctx, n)
+	if err != nil {
+		return nil, err
+	}
+	return &parSeg{b: bindingFromRelation(rel, alias), it: it, workers: workers}, nil
 }
 
-// openPlanScan opens a single-relation scan with the node's pushed
+// openScanSeg opens a single-relation scan as a segment: the node's pushed
 // predicate, the block's residual filters, and a pruned column set — the
 // node's own Columns when the optimizer set them, otherwise derived from
-// what the block reads — pushed down into the source's scan. The returned
-// binding reflects the projected layout.
-func (e *Engine) openPlanScan(ctx context.Context, s *plan.Scan, blk *plan.Block) (*binding, schema.RowIterator, error) {
+// what the block reads. The segment's binding reflects the projected layout.
+func (e *Engine) openScanSeg(ctx context.Context, s *plan.Scan, blk *plan.Block, workers int) (*parSeg, error) {
 	rel, err := RelationSchema(e.src, s.Table)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	qual := s.Table
 	if s.Alias != "" {
@@ -273,8 +280,8 @@ func (e *Engine) openPlanScan(ctx context.Context, s *plan.Scan, blk *plan.Block
 	full := bindingFromRelation(rel, qual)
 
 	// The scan predicate (and any residual block filters — a single
-	// relation is always in scope) runs inside the scan, against the
-	// full-width row, before projection.
+	// relation is always in scope) runs against the full-width row, before
+	// projection.
 	filters := blk.FilterConds()
 	conds := make([]sqlparser.Expr, 0, 1+len(filters))
 	if s.Predicate != nil {
@@ -287,49 +294,74 @@ func (e *Engine) openPlanScan(ctx context.Context, s *plan.Scan, blk *plan.Block
 	if cols != nil {
 		b = bindingFromRelation(rel.Project(cols), qual)
 	}
+	seg := &parSeg{b: b, workers: workers}
 
-	// Vectorized path: when the source serves column batches and at least
-	// one filter conjunct compiles to a kernel, run the filter columnar and
-	// pivot only the survivors. Without kernels the row path is equivalent
-	// (storage already prunes columns at the pivot), so don't bother.
-	if cs, ok := e.src.(ColScanner); ok {
-		if p, pok := compileVecScan(rel, qual, full, conds, cols); pok && len(p.kernels) > 0 {
-			ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
-			if err != nil {
-				return nil, nil, err
-			}
-			return b, &vecScanIter{src: ci, ex: newVecExec(p)}, nil
-		}
-	}
-
-	var sc schema.Scan
-	if len(conds) > 0 {
-		env := (&rowEnv{b: full}).reuse()
-		cond := sqlparser.AndAll(conds)
-		sc.Filter = func(r schema.Row) (bool, error) {
-			env.row = r
-			return truthy(env, cond)
-		}
-		// The structured restatement of the filter's kernelizable prefix
-		// lets storage skip segments even on the row path.
-		sc.Predicate = prunePreds(full, sqlparser.Conjuncts(cond))
-	}
-	sc.Columns = cols
 	// Limit pushdown into the batch size: when nothing between the scan and
 	// the limit can drop or reorder rows (no filter, no breaker, no
 	// DISTINCT), the scan never needs to materialize more than N rows at
 	// once, so a small LIMIT stops after one small pivot.
+	batch := schema.DefaultBatchSize
 	if blk.Limit != nil && len(conds) == 0 &&
 		blk.Agg == nil && blk.Win == nil && blk.Sort == nil && blk.Distinct == nil {
-		if n := int(blk.Limit.N); n >= 0 && n < schema.DefaultBatchSize {
-			sc.BatchSize = n + 1 // never 0: 0 means "default"
+		if n := int(blk.Limit.N); n >= 0 && n < batch {
+			batch = n + 1 // never 0: 0 means "default"
 		}
 	}
-	it, err := OpenScan(ctx, e.src, s.Table, sc)
-	if err != nil {
-		return nil, nil, err
+
+	// Vectorized path: a columnar morsel source runs the filter kernels and
+	// the survivor pivot on the claiming worker, so rejected rows and pruned
+	// columns are never pivoted to row form and no scan stage is needed.
+	if cs, ok := e.src.(ColScanner); ok {
+		if p, pok := compileVecScan(rel, qual, full, conds, cols); pok {
+			sc := p.colScan(rel.Arity())
+			sc.BatchSize = batch
+			ms, err := cs.OpenColMorsels(ctx, s.Table, sc)
+			if err != nil {
+				return nil, err
+			}
+			seg.ms = newVecMorsels(ms, p, workers)
+			return seg, nil
+		}
 	}
-	return b, it, nil
+
+	// One worker over a plain batch source: the filter and projection are
+	// pushed into the source's own scan, so rows failing the predicate and
+	// pruned columns never leave it (for a fragment chain: never leave the
+	// previous stage's iterator).
+	if workers == 1 {
+		sc := schema.Scan{Columns: cols, BatchSize: batch}
+		if len(conds) > 0 {
+			env := (&rowEnv{b: full}).reuse()
+			cond := sqlparser.AndAll(conds)
+			sc.Filter = func(r schema.Row) (bool, error) {
+				env.row = r
+				return truthy(env, cond)
+			}
+			// The structured restatement of the filter's kernelizable prefix
+			// lets storage skip segments even on the row path.
+			sc.Predicate = prunePreds(full, sqlparser.Conjuncts(cond))
+		}
+		seg.it, err = OpenScan(ctx, e.src, s.Table, sc)
+		if err != nil {
+			return nil, err
+		}
+		return seg, nil
+	}
+
+	// Several workers: the source is opened raw as a morsel source and the
+	// predicate and projection run per worker in a scan stage.
+	if msrc, ok := e.src.(MorselScanner); ok {
+		seg.ms, err = msrc.OpenMorsels(ctx, s.Table, batch)
+	} else {
+		seg.it, err = OpenScan(ctx, e.src, s.Table, schema.Scan{})
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(conds) > 0 || cols != nil {
+		seg.mk = append(seg.mk, scanStage(full, conds, cols))
+	}
+	return seg, nil
 }
 
 // scanColumns decides the projection pushed into a scan: the plan's pruned
@@ -411,34 +443,27 @@ func identityOrder(idxs []int) bool {
 	return true
 }
 
-// evalBroken is the pipeline-breaker path: grouping, window functions and
-// ORDER BY need the whole input (ORDER BY + LIMIT sorts fully before
-// truncating), so the upstream pipeline is drained here and the classic
-// materialized operators run over it.
+// evalBroken is the pipeline-breaker path for window functions and ORDER BY,
+// which need the whole input (ORDER BY + LIMIT sorts fully before
+// truncating): the segment's output is drained here and the materialized
+// operators run over it. Only the breaker's own evaluation is
+// single-threaded — its input is produced by the segment's workers, and the
+// exchange's ordering makes sort ties and window frames independent of the
+// worker count.
 func (e *Engine) evalBroken(blk *plan.Block, b *binding, it schema.RowIterator) (*schema.Relation, schema.Rows, error) {
 	rows, err := schema.DrainIterator(it)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	var out *Result
-	var orderRows schema.Rows // rows aligned with out.Rows for ORDER BY fallback
-	if blk.Agg != nil {
-		out, err = e.evalGrouped(blk, b, rows)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		out, orderRows, err = e.evalProjection(blk, b, rows)
-		if err != nil {
-			return nil, nil, err
-		}
+	out, orderRows, err := e.evalProjection(blk, b, rows)
+	if err != nil {
+		return nil, nil, err
 	}
 	return e.finishBroken(blk, b, out, orderRows)
 }
 
 // finishBroken applies the post-materialization clauses of a breaker block
-// — DISTINCT, ORDER BY, LIMIT — shared by the serial and parallel grouped
+// — DISTINCT, ORDER BY, LIMIT — shared by the grouped, window and sort
 // paths.
 func (e *Engine) finishBroken(blk *plan.Block, b *binding, out *Result, orderRows schema.Rows) (*schema.Relation, schema.Rows, error) {
 	if blk.Distinct != nil {
@@ -472,93 +497,88 @@ func (e *Engine) finishBroken(blk *plan.Block, b *binding, out *Result, orderRow
 	return out.Schema, out.Rows, nil
 }
 
-// openJoin builds a streaming join: the right (build) side is materialized,
-// the left (probe) side streams batch-at-a-time. Pure equi-joins over a
-// columnar probe scan run the vectorized probe (vecjoin.go); remaining
-// equi-joins on plain column references use the row-at-a-time hash index;
-// everything else falls back to nested loops.
-func (e *Engine) openJoin(ctx context.Context, j *plan.Join) (*binding, schema.RowIterator, error) {
-	if cb, it, ok, err := e.openVecJoin(ctx, j); ok || err != nil {
-		return cb, it, err
+// openJoin compiles a join onto the probe side's segment: the build (right)
+// side is materialized and indexed, the probe (left) side streams, each
+// worker probing its own morsels against the shared immutable index. Pure
+// equi-joins over a columnar probe scan run the vectorized probe
+// (vecjoin.go); remaining equi-joins on plain column references use the
+// row-at-a-time hash probe; everything else falls back to nested loops.
+func (e *Engine) openJoin(ctx context.Context, j *plan.Join, workers int) (*parSeg, error) {
+	if seg, handled, err := e.openVecJoin(ctx, j, workers); handled || err != nil {
+		return seg, err
 	}
-	lb, lit, err := e.openJoinSide(ctx, j.Left)
+	left, err := e.openJoinSide(ctx, j.Left, workers)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rb, rit, err := e.openJoinSide(ctx, j.Right)
+	rb, rrows, err := e.drainBuildSide(ctx, j.Right)
 	if err != nil {
-		lit.Close()
-		return nil, nil, err
+		left.close()
+		return nil, err
 	}
-	rrows, err := schema.DrainIterator(rit)
-	if err != nil {
-		lit.Close()
-		return nil, nil, err
-	}
-	cb, it := joinFromBuild(j, lb, lit, rb, rrows)
-	return cb, it, nil
+	return joinFromBuild(j, left, rb, rrows), nil
 }
 
-// joinFromBuild assembles the row-path probe over an already-drained build
-// side, shared by openJoin and openVecJoin's late declines.
-func joinFromBuild(j *plan.Join, lb *binding, lit schema.RowIterator, rb *binding, rrows schema.Rows) (*binding, schema.RowIterator) {
+// drainBuildSide compiles and materializes a join's build input. It is
+// drained on the caller's goroutine (one worker): the probe cannot start
+// before the build is complete, and a nested block below it still picks its
+// own worker count.
+func (e *Engine) drainBuildSide(ctx context.Context, n plan.Node) (*binding, schema.Rows, error) {
+	seg, err := e.openJoinSide(ctx, n, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, err := schema.DrainIterator(seg.iterator())
+	if err != nil {
+		return nil, nil, err
+	}
+	return seg.b, rows, nil
+}
+
+// joinFromBuild appends the row-path probe stage to the probe side's segment
+// for an already-drained build side, shared by openJoin and openVecJoin's
+// late declines. The hash index is built partitioned across the segment's
+// workers.
+func joinFromBuild(j *plan.Join, seg *parSeg, rb *binding, rrows schema.Rows) *parSeg {
+	lb := seg.b
 	cb := lb.concat(rb)
+	seg.b = cb
 
 	if j.Type == sqlparser.JoinCross {
-		return cb, &loopJoinIter{left: lit, rrows: rrows, cb: cb}
+		seg.mk = append(seg.mk, loopProbeStage(rrows, nil, cb, false, nil))
+		return seg
 	}
 
 	// Hash join fast path: ON is a conjunction containing at least one
 	// left.col = right.col equality.
+	leftJoin, nullR := j.Type == sqlparser.JoinLeft, nullRow(len(rb.cols))
 	eqL, eqR, rest := splitEquiJoin(j.On, lb, rb)
 	if len(eqL) > 0 {
-		index := make(map[string][]int, len(rrows))
-		var kbuf []byte
-		for ri, rr := range rrows {
-			kbuf = rr.AppendGroupKey(kbuf[:0], eqR)
-			index[string(kbuf)] = append(index[string(kbuf)], ri)
-		}
-		return cb, &hashJoinIter{
-			left: lit, rrows: rrows, index: index,
-			eqL: eqL, rest: rest, cb: cb,
-			leftJoin: j.Type == sqlparser.JoinLeft,
-			nullR:    nullRow(len(rb.cols)),
-		}
+		ix := buildJoinIndex(rrows, eqR, seg.workers)
+		seg.mk = append(seg.mk, hashProbeStage(ix, rrows, eqL, rest, cb, leftJoin, nullR))
+		return seg
 	}
-
-	return cb, &loopJoinIter{
-		left: lit, rrows: rrows, on: j.On, cb: cb,
-		leftJoin: j.Type == sqlparser.JoinLeft,
-		nullR:    nullRow(len(rb.cols)),
-	}
+	seg.mk = append(seg.mk, loopProbeStage(rrows, j.On, cb, leftJoin, nullR))
+	return seg
 }
 
-// openJoinSide compiles one side of a join: a scan, a derived block, a
-// nested join, or any of those under side-pushed filters.
-func (e *Engine) openJoinSide(ctx context.Context, n plan.Node) (*binding, schema.RowIterator, error) {
+// openJoinSide compiles one side of a join: a scan, a nested join, a nested
+// block, or any of those under side-pushed filters.
+func (e *Engine) openJoinSide(ctx context.Context, n plan.Node, workers int) (*parSeg, error) {
 	switch x := n.(type) {
 	case *plan.Scan:
-		return e.openPlanScan(ctx, x, &plan.Block{})
-	case *plan.Derived:
-		rel, it, err := e.openBlock(ctx, x.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		return bindingFromRelation(rel, x.Alias), it, nil
+		return e.openScanSeg(ctx, x, &plan.Block{}, workers)
 	case *plan.Join:
-		return e.openJoin(ctx, x)
+		return e.openJoin(ctx, x, workers)
 	case *plan.Filter:
-		b, it, err := e.openJoinSide(ctx, x.Input)
+		seg, err := e.openJoinSide(ctx, x.Input, workers)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return b, &filterIter{src: it, env: (&rowEnv{b: b}).reuse(), cond: x.Cond}, nil
+		seg.mk = append(seg.mk, filterStage(seg.b, x.Cond))
+		return seg, nil
 	default:
-		rel, it, err := e.openBlock(ctx, n)
-		if err != nil {
-			return nil, nil, err
-		}
-		return bindingFromRelation(rel, ""), it, nil
+		return e.openSubBlock(ctx, n, workers)
 	}
 }
 

@@ -14,34 +14,10 @@ type group struct {
 	rows schema.Rows
 }
 
-// evalGrouped handles blocks with GROUP BY, HAVING or aggregate functions in
-// the select list. Output is one row per surviving group.
-func (e *Engine) evalGrouped(blk *plan.Block, b *binding, rows schema.Rows) (*Result, error) {
-	aggCalls, rel, err := groupSpecCompile(blk, b)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := buildGroups(b, rows, blk.GroupBy())
-	if err != nil {
-		return nil, err
-	}
-	var out schema.Rows
-	env := (&rowEnv{b: b}).reuse()
-	for _, g := range groups {
-		orow, keep, err := evalOneGroup(b, env, blk, aggCalls, g)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			out = append(out, orow)
-		}
-	}
-	return &Result{Schema: rel, Rows: out}, nil
-}
-
 // groupSpecCompile validates a grouped block's select list, collects every
 // aggregate call appearing in items, HAVING and ORDER BY, and builds the
-// output schema. Shared by the serial and parallel grouped paths.
+// output schema. Shared by the row (evalGrouped) and vectorized
+// (vecgroup.go) grouped paths.
 func groupSpecCompile(blk *plan.Block, b *binding) ([]*sqlparser.FuncCall, *schema.Relation, error) {
 	items := blk.Items()
 	for _, it := range items {
@@ -89,8 +65,7 @@ func groupSpecCompile(blk *plan.Block, b *binding) ([]*sqlparser.FuncCall, *sche
 // evalOneGroup folds one group's aggregates (over its rows in input
 // order), applies HAVING and evaluates the select list. keep is false when
 // HAVING rejected the group. env must belong to the calling goroutine;
-// groups are otherwise independent, which is what the parallel grouped
-// path exploits.
+// groups are otherwise independent, which is what evalGroups exploits.
 func evalOneGroup(b *binding, env *rowEnv, blk *plan.Block, aggCalls []*sqlparser.FuncCall, g *group) (schema.Row, bool, error) {
 	aggVals := make(map[string]schema.Value, len(aggCalls))
 	for _, f := range aggCalls {
@@ -120,43 +95,4 @@ func evalOneGroup(b *binding, env *rowEnv, blk *plan.Block, aggCalls []*sqlparse
 		orow[i] = v
 	}
 	return orow, true, nil
-}
-
-// buildGroups partitions rows by the GROUP BY expressions. With no GROUP BY
-// the whole input is one group (even when empty, so that COUNT(*) over an
-// empty relation yields 0).
-func buildGroups(b *binding, rows schema.Rows, exprs []sqlparser.Expr) ([]*group, error) {
-	if len(exprs) == 0 {
-		g := &group{rows: rows}
-		if len(rows) > 0 {
-			g.rep = rows[0]
-		}
-		return []*group{g}, nil
-	}
-	index := make(map[string]*group)
-	var order []*group
-	env := (&rowEnv{b: b}).reuse()
-	var kbuf []byte
-	for _, r := range rows {
-		env.row = r
-		// Canonical byte keys are self-delimiting (see Value.AppendGroupKey),
-		// so concatenation needs no separator; the scratch buffer makes the
-		// per-row map lookup allocation-free.
-		kbuf = kbuf[:0]
-		for _, ex := range exprs {
-			v, err := evalExpr(env, ex)
-			if err != nil {
-				return nil, err
-			}
-			kbuf = v.AppendGroupKey(kbuf)
-		}
-		g, ok := index[string(kbuf)]
-		if !ok {
-			g = &group{rep: r}
-			index[string(kbuf)] = g
-			order = append(order, g)
-		}
-		g.rows = append(g.rows, r)
-	}
-	return order, nil
 }

@@ -9,54 +9,59 @@ import (
 	"paradise/internal/sqlparser"
 )
 
-// This file is the morsel-driven parallel side of the engine. A query block
-// whose streamable segment is per-row independent (scan, filter, join
-// probe, projection, DISTINCT pre-pass, GROUP BY key computation) is
-// compiled into a parSeg: a shared morsel source plus a list of per-worker
-// stage factories. N workers pull morsels, run the fused stage pipeline
-// over them, and hand the results to an order-preserving exchange that
-// re-emits batches in morsel order.
+// This file is the engine's one execution pipeline. Every query block
+// compiles (engine.go) into a parSeg: a morsel source plus a list of
+// per-worker stage factories for the block's per-row independent work (scan
+// filter and projection, residual filters, join probe, select list, the
+// DISTINCT pre-pass, GROUP BY key computation). A driver — the exchange —
+// runs the segment with the worker count the block chose:
 //
-// The ordering discipline is what makes parallel execution invisible:
-// because the exchange restores the serial pull order, every downstream
-// consumer — DISTINCT merges, group-by merges, sort ties, the fragment
-// chain's accounting, the facade's cursors — observes exactly the rows,
-// in exactly the order, of serial execution, and per-group aggregate folds
-// visit rows in the serial order so even float aggregates are bit-identical.
-// Errors are delivered at the seq of the batch that raised them, so the
-// first error surfaces at the same point in the stream as it would
-// serially.
+//   - Several workers pull morsels concurrently, run the fused stage chain
+//     over them, and hand the results to an order-preserving reorder buffer
+//     that re-emits batches in morsel order.
+//   - One worker is the same chain with the exchange elided: each consumer
+//     pull claims one morsel and runs the stages on the caller's goroutine —
+//     no goroutine, no mutex, no reorder buffer — and stage output buffers
+//     are reused under the iterator contract (a batch is valid until the
+//     next pull).
 //
-// What stays serial, by design:
+// The ordering discipline is what makes the worker count invisible: because
+// the exchange restores the pull order, every downstream consumer —
+// DISTINCT merges, group-by merges, sort ties, the fragment chain's
+// accounting, the facade's cursors — observes exactly the rows, in exactly
+// the order, a single worker produces, and per-group aggregate folds visit
+// rows in that order so even float aggregates are bit-identical. Errors are
+// delivered at the seq of the batch that raised them, so the first error
+// surfaces at the same point in the stream for any worker count.
 //
-//   - Blocks with a *streaming* LIMIT (no breaker below it). Their
-//     early-termination guarantee — a LIMIT-n query reads O(n + batch)
-//     rows from storage — would be destroyed by workers prefetching
-//     morsels past the cutoff.
+// What runs on one goroutine regardless, by design:
+//
+//   - Blocks with a *streaming* LIMIT (no breaker below it), see openBlock.
 //   - Pipeline breakers' own materialized evaluation (sort, windows),
-//     whose input production still parallelizes.
+//     whose input production still runs on the segment's workers.
+//   - Join build sides (drainBuildSide).
 //   - The per-morsel source pull (one short critical section per batch)
 //     and the exchange's in-order re-emission.
 
 // MorselScanner is an optional extension of BatchSource: relations can be
 // opened as shared morsel sources feeding any number of concurrent
-// workers. storage.Store implements it with locked subslice hand-offs;
-// sources without it are adapted through schema.ShareIterator.
+// workers. storage.Store implements it with lock-free segment-aligned
+// claims; sources without it are adapted through schema.ShareIterator.
 type MorselScanner interface {
 	OpenMorsels(ctx context.Context, name string, batchSize int) (schema.MorselSource, error)
 }
 
 // batchFn transforms one morsel's rows inside a worker. It must not mutate
 // the input batch (which may alias storage memory); it returns either the
-// input untouched or a freshly allocated batch (see the ownership rules in
-// schema's parallel contract).
+// input untouched or a batch of its own (see outBuf for who owns it).
 type batchFn func(in schema.Rows) (schema.Rows, error)
 
 // stageFactory builds one worker's instance of a stage. Factories are
 // invoked once per worker, concurrently, and must only capture read-only
 // compile artifacts; all mutable state (row environments, buffers, local
-// dedup maps) is created inside.
-type stageFactory func() batchFn
+// dedup maps) is created inside. reuse is the driver's buffer contract for
+// this instance, handed to its outBuf.
+type stageFactory func(reuse bool) batchFn
 
 // keyFn is the optional keyed terminal stage of a worker pipeline: it
 // returns the (possibly filtered) batch plus one key string per surviving
@@ -65,16 +70,45 @@ type keyFn func(in schema.Rows) (schema.Rows, []string, error)
 
 // keyFactory builds one worker's keyFn, under the same rules as
 // stageFactory.
-type keyFactory func() keyFn
+type keyFactory func(reuse bool) keyFn
 
-// parSeg is a compiled streamable segment: where the morsels come from and
-// what each worker does to them. Exactly one of ms (storage fast path) and
-// it (any other source, shared via schema.ShareIterator) is set.
+// outBuf is a stage instance's output batch header (rows, or per-row keys).
+// Batches produced by concurrent workers transfer ownership to the consumer
+// with their parcel (the producer cannot know when the consumer advances),
+// so each gets a fresh header; the one-worker driver hands batches over
+// under the iterator contract — valid until the next pull — and reuses one
+// header across batches. Only the header is ever reused: rows are immutable
+// and may be retained downstream.
+type outBuf[T any] struct {
+	reuse bool
+	buf   []T
+}
+
+// start returns an empty header for a batch of up to n entries.
+func (b *outBuf[T]) start(n int) []T {
+	if b.reuse {
+		return b.buf[:0]
+	}
+	return make([]T, 0, n)
+}
+
+// done records the (possibly grown) header for the next batch.
+func (b *outBuf[T]) done(out []T) []T {
+	if b.reuse {
+		b.buf = out
+	}
+	return out
+}
+
+// parSeg is a compiled streamable segment: where the morsels come from,
+// what each worker does to them, and how many workers run it. Exactly one
+// of ms (morsel-native sources) and it (any other source) is set.
 type parSeg struct {
-	b  *binding
-	ms schema.MorselSource
-	it schema.RowIterator
-	mk []stageFactory
+	b       *binding
+	ms      schema.MorselSource
+	it      schema.RowIterator
+	mk      []stageFactory
+	workers int
 }
 
 // close releases an abandoned segment (compile error before any exchange
@@ -88,18 +122,22 @@ func (s *parSeg) close() {
 	}
 }
 
-// source resolves the segment's morsel source.
+// source resolves the segment's morsel source. Several workers share an
+// iterator through schema.ShareIterator (a lock, and a header copy because
+// a morsel outlives the pull); a single worker pulls it directly.
 func (s *parSeg) source() schema.MorselSource {
 	if s.ms != nil {
 		return s.ms
 	}
+	if s.workers == 1 {
+		return &soleMorsels{it: s.it}
+	}
 	return schema.ShareIterator(s.it)
 }
 
-// iterator exposes the segment as a batch iterator: through an exchange
-// when there is work to parallelize, directly otherwise (a bare
-// pass-through segment gains nothing from workers).
-func (s *parSeg) iterator(workers int) schema.RowIterator {
+// iterator exposes the segment as a batch iterator: through the driver when
+// there are stages to run, directly otherwise.
+func (s *parSeg) iterator() schema.RowIterator {
 	if len(s.mk) == 0 {
 		if s.it != nil {
 			return s.it
@@ -109,7 +147,7 @@ func (s *parSeg) iterator(workers int) schema.RowIterator {
 		// partition).
 		return &ownedMorselIter{RowIterator: schema.IterateMorsels(s.ms), ms: s.ms}
 	}
-	return &exchIter{x: newExchange(s, workers, nil)}
+	return &exchIter{x: newExchange(s, nil)}
 }
 
 // ownedMorselIter is a single-partition view that owns its source.
@@ -123,26 +161,70 @@ func (o *ownedMorselIter) Close() {
 	o.ms.Close()
 }
 
+// soleMorsels serves an iterator to the one-worker driver with neither lock
+// nor header copy: the single puller is done with a batch before it pulls
+// the next, which is all the iterator contract asks.
+type soleMorsels struct {
+	it  schema.RowIterator
+	seq int
+}
+
+func (s *soleMorsels) NextMorsel() (schema.Morsel, error) {
+	rows, err := s.it.Next()
+	m := schema.Morsel{Seq: s.seq, Rows: rows}
+	s.seq++
+	return m, err
+}
+
+func (s *soleMorsels) Close() { s.it.Close() }
+
 // parcel is one processed morsel travelling from a worker to the exchange
-// consumer: the transformed batch, optional per-row keys, or the error the
-// serial pipeline would have surfaced at this position.
+// consumer: the transformed batch, optional per-row keys, or the error
+// raised at this position of the stream.
 type parcel struct {
 	rows schema.Rows
 	keys []string
 	err  error
 }
 
-// exchange runs N workers over a shared morsel source and re-emits their
-// output parcels in morsel order. Workers run at most window parcels ahead
-// of the consumer, bounding buffered memory; per-worker results are merged
-// at the single consumer, which is where accounting-sensitive consumers
-// (stage drains, group merges) observe them — in serial order.
+// stageChain is one worker's instantiated stages.
+type stageChain struct {
+	fns []batchFn
+	kf  keyFn
+}
+
+// run pushes one morsel through the chain.
+func (c *stageChain) run(rows schema.Rows) (schema.Rows, []string, error) {
+	var err error
+	for _, fn := range c.fns {
+		if rows, err = fn(rows); err != nil {
+			return nil, nil, err
+		}
+	}
+	var keys []string
+	if c.kf != nil && len(rows) > 0 {
+		rows, keys, err = c.kf(rows)
+	}
+	return rows, keys, err
+}
+
+// exchange drives a segment: it runs the workers over the morsel source and
+// hands their output parcels to a single consumer in morsel order. Several
+// workers run at most window parcels ahead of the consumer, bounding
+// buffered memory; per-worker results are merged at the consumer, which is
+// where accounting-sensitive consumers (stage drains, group merges) observe
+// them — in morsel order. With one worker there is nothing to reorder and
+// the exchange is elided: nextParcel does the work itself.
 type exchange struct {
 	src     schema.MorselSource
 	mk      []stageFactory
 	kf      keyFactory
 	workers int
 	window  int
+
+	// One worker: the chain and parcel of the consumer's own goroutine.
+	sole    *stageChain
+	current parcel
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -154,20 +236,27 @@ type exchange struct {
 	wg      sync.WaitGroup
 }
 
-func newExchange(seg *parSeg, workers int, kf keyFactory) *exchange {
-	if workers < 1 {
-		workers = 1
+func newExchange(seg *parSeg, kf keyFactory) *exchange {
+	x := &exchange{src: seg.source(), mk: seg.mk, kf: kf, workers: seg.workers}
+	if x.workers > 1 {
+		x.window = 2*x.workers + 2
+		x.buf = make(map[int]*parcel)
+		x.cond = sync.NewCond(&x.mu)
 	}
-	x := &exchange{
-		src:     seg.source(),
-		mk:      seg.mk,
-		kf:      kf,
-		workers: workers,
-		window:  2*workers + 2,
-		buf:     make(map[int]*parcel),
-	}
-	x.cond = sync.NewCond(&x.mu)
 	return x
+}
+
+// chain instantiates the stages for one worker.
+func (x *exchange) chain() *stageChain {
+	reuse := x.workers == 1
+	c := &stageChain{fns: make([]batchFn, len(x.mk))}
+	for i, mk := range x.mk {
+		c.fns[i] = mk(reuse)
+	}
+	if x.kf != nil {
+		c.kf = x.kf(reuse)
+	}
+	return c
 }
 
 // start spawns the workers; called lazily on the first pull so an opened
@@ -199,15 +288,7 @@ func (x *exchange) worker() {
 		x.mu.Unlock()
 	}()
 
-	fns := make([]batchFn, len(x.mk))
-	for i, mk := range x.mk {
-		fns[i] = mk()
-	}
-	var kf keyFn
-	if x.kf != nil {
-		kf = x.kf()
-	}
-
+	c := x.chain()
 	for {
 		m, err := x.src.NextMorsel()
 		if err != nil {
@@ -217,17 +298,7 @@ func (x *exchange) worker() {
 		if m.Rows == nil {
 			return
 		}
-		rows := m.Rows
-		var keys []string
-		for _, fn := range fns {
-			rows, err = fn(rows)
-			if err != nil {
-				break
-			}
-		}
-		if err == nil && kf != nil && len(rows) > 0 {
-			rows, keys, err = kf(rows)
-		}
+		rows, keys, err := c.run(m.Rows)
 		if err != nil {
 			x.deliver(m.Seq, &parcel{err: err})
 			return
@@ -254,8 +325,12 @@ func (x *exchange) deliver(seq int, p *parcel) {
 }
 
 // nextParcel returns the next parcel in morsel order, or ok=false once the
-// stream is exhausted or the exchange closed. Single-consumer.
+// stream is exhausted or the exchange closed. Single-consumer. Under one
+// worker the parcel (and the batch in it) is valid until the next call.
 func (x *exchange) nextParcel() (*parcel, bool) {
+	if x.workers == 1 {
+		return x.nextInline()
+	}
 	x.start()
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -276,11 +351,40 @@ func (x *exchange) nextParcel() (*parcel, bool) {
 	}
 }
 
+// nextInline is the elided exchange: claim one morsel and run the stage
+// chain on the consumer's goroutine.
+func (x *exchange) nextInline() (*parcel, bool) {
+	if x.stopped {
+		return nil, false
+	}
+	if x.sole == nil {
+		x.sole = x.chain()
+	}
+	p := &x.current
+	m, err := x.src.NextMorsel()
+	if err != nil {
+		*p = parcel{err: err}
+		return p, true
+	}
+	if m.Rows == nil {
+		return nil, false
+	}
+	p.rows, p.keys, p.err = x.sole.run(m.Rows)
+	return p, true
+}
+
 // close stops the exchange: workers are released, the morsel source is
 // closed (which for stage outputs triggers the drain-on-close accounting),
 // and close blocks until every worker has exited, so no goroutine outlives
 // the pipeline. Idempotent.
 func (x *exchange) close() {
+	if x.workers == 1 {
+		if !x.stopped {
+			x.stopped = true
+			x.src.Close()
+		}
+		return
+	}
 	x.mu.Lock()
 	if x.stopped {
 		x.mu.Unlock()
@@ -294,8 +398,8 @@ func (x *exchange) close() {
 }
 
 // exchIter is the plain iterator face of an exchange: batches come out in
-// serial order, empty parcels are skipped, the first error ends the
-// stream at its serial position.
+// morsel order, empty parcels are skipped, the first error ends the stream
+// at its position.
 type exchIter struct {
 	x    *exchange
 	err  error
@@ -331,8 +435,10 @@ func (e *exchIter) Close() {
 
 // distinctMergeIter merges worker streams for DISTINCT: workers pre-dedup
 // their own streams and attach keys (distinctKeys); the merge keeps the
-// first global occurrence. Because parcels arrive in serial order, the
-// surviving row set and its order are identical to the serial operator.
+// first global occurrence. Rows are emitted on first occurrence, so order is
+// preserved and memory is bounded by the number of distinct rows; because
+// parcels arrive in morsel order, the surviving row set and its order do
+// not depend on the worker count.
 type distinctMergeIter struct {
 	x    *exchange
 	seen map[string]bool
@@ -356,13 +462,17 @@ func (d *distinctMergeIter) Next() (schema.Rows, error) {
 			d.x.close()
 			return nil, d.err
 		}
-		// In-place compaction is safe: keyed parcels are worker-allocated
-		// and ownership transferred with the parcel.
-		out := p.rows[:0]
-		for i, r := range p.rows {
-			if !d.seen[p.keys[i]] {
-				d.seen[p.keys[i]] = true
-				out = append(out, r)
+		out := p.rows
+		if d.x.workers > 1 { // a sole worker's pre-pass is already global
+			// In-place compaction is safe: a keyed parcel's header is always
+			// the key stage's own (never the source batch), handed over with
+			// the parcel.
+			out = p.rows[:0]
+			for i, r := range p.rows {
+				if !d.seen[p.keys[i]] {
+					d.seen[p.keys[i]] = true
+					out = append(out, r)
+				}
 			}
 		}
 		if len(out) > 0 {
@@ -388,11 +498,12 @@ func scanStage(full *binding, conds []sqlparser.Expr, cols []int) stageFactory {
 	if len(conds) > 0 {
 		cond = sqlparser.AndAll(conds)
 	}
-	return func() batchFn {
+	return func(reuse bool) batchFn {
 		var env *rowEnv
 		if cond != nil {
 			env = (&rowEnv{b: full}).reuse()
 		}
+		buf := outBuf[schema.Row]{reuse: reuse}
 		return func(in schema.Rows) (schema.Rows, error) {
 			if cond == nil && cols == nil {
 				return in, nil
@@ -401,7 +512,7 @@ func scanStage(full *binding, conds []sqlparser.Expr, cols []int) stageFactory {
 			if cols != nil {
 				vals = make([]schema.Value, 0, len(in)*len(cols))
 			}
-			out := make(schema.Rows, 0, len(in))
+			out := buf.start(len(in))
 			for _, r := range in {
 				if cond != nil {
 					env.row = r
@@ -422,18 +533,19 @@ func scanStage(full *binding, conds []sqlparser.Expr, cols []int) stageFactory {
 				}
 				out = append(out, r)
 			}
-			return out, nil
+			return buf.done(out), nil
 		}
 	}
 }
 
 // filterStage drops rows failing a residual condition (filters above a
-// join or derived table).
+// join or derived table, which cannot be pushed into a scan).
 func filterStage(b *binding, cond sqlparser.Expr) stageFactory {
-	return func() batchFn {
+	return func(reuse bool) batchFn {
 		env := (&rowEnv{b: b}).reuse()
+		buf := outBuf[schema.Row]{reuse: reuse}
 		return func(in schema.Rows) (schema.Rows, error) {
-			out := make(schema.Rows, 0, len(in))
+			out := buf.start(len(in))
 			for _, r := range in {
 				env.row = r
 				ok, err := truthy(env, cond)
@@ -444,20 +556,22 @@ func filterStage(b *binding, cond sqlparser.Expr) stageFactory {
 					out = append(out, r)
 				}
 			}
-			return out, nil
+			return buf.done(out), nil
 		}
 	}
 }
 
-// projStage evaluates a non-identity select list, one fresh backing array
-// per batch (mirrors projIter).
+// projStage evaluates a non-identity select list. Projected rows share one
+// backing array per batch, fresh each time (rows may be retained
+// downstream).
 func projStage(p *projector, b *binding) stageFactory {
-	return func() batchFn {
+	return func(reuse bool) batchFn {
 		env := (&rowEnv{b: b}).reuse()
+		buf := outBuf[schema.Row]{reuse: reuse}
 		return func(in schema.Rows) (schema.Rows, error) {
 			nc := len(p.cols)
 			vals := make([]schema.Value, len(in)*nc)
-			out := make(schema.Rows, 0, len(in))
+			out := buf.start(len(in))
 			for i, r := range in {
 				env.row = r
 				orow := vals[i*nc : (i+1)*nc : (i+1)*nc]
@@ -466,19 +580,21 @@ func projStage(p *projector, b *binding) stageFactory {
 				}
 				out = append(out, orow)
 			}
-			return out, nil
+			return buf.done(out), nil
 		}
 	}
 }
 
-// hashProbeStage probes the shared read-only partitioned build index with
-// this worker's morsels (mirrors hashJoinIter).
+// hashProbeStage probes the shared read-only partitioned build index (the
+// materialized right input) with this worker's left morsels. Inner and left
+// joins with at least one equi-key.
 func hashProbeStage(ix *joinIndex, rrows schema.Rows, eqL []int, rest []sqlparser.Expr, cb *binding, leftJoin bool, nullR schema.Row) stageFactory {
-	return func() batchFn {
+	return func(reuse bool) batchFn {
 		env := (&rowEnv{b: cb}).reuse()
+		buf := outBuf[schema.Row]{reuse: reuse}
 		var kbuf []byte
 		return func(in schema.Rows) (schema.Rows, error) {
-			out := make(schema.Rows, 0, len(in))
+			out := buf.start(len(in))
 			for _, lr := range in {
 				matched := false
 				kbuf = lr.AppendGroupKey(kbuf[:0], eqL)
@@ -497,18 +613,19 @@ func hashProbeStage(ix *joinIndex, rrows schema.Rows, eqL []int, rest []sqlparse
 					out = append(out, joinRow(lr, nullR))
 				}
 			}
-			return out, nil
+			return buf.done(out), nil
 		}
 	}
 }
 
-// loopProbeStage is the nested-loop fallback (nil on = cross join),
-// mirroring loopJoinIter.
+// loopProbeStage is the nested-loop fallback (and, with a nil condition,
+// the cross join): the right side is materialized, the left side streams.
 func loopProbeStage(rrows schema.Rows, on sqlparser.Expr, cb *binding, leftJoin bool, nullR schema.Row) stageFactory {
-	return func() batchFn {
+	return func(reuse bool) batchFn {
 		env := (&rowEnv{b: cb}).reuse()
+		buf := outBuf[schema.Row]{reuse: reuse}
 		return func(in schema.Rows) (schema.Rows, error) {
-			out := make(schema.Rows, 0, len(in))
+			out := buf.start(len(in))
 			for _, lr := range in {
 				matched := false
 				for _, rr := range rrows {
@@ -531,28 +648,32 @@ func loopProbeStage(rrows schema.Rows, on sqlparser.Expr, cb *binding, leftJoin 
 					out = append(out, joinRow(lr, nullR))
 				}
 			}
-			return out, nil
+			return buf.done(out), nil
 		}
 	}
 }
 
-// distinctKeys is the keyed terminal stage for parallel DISTINCT: each
-// worker computes row keys and drops repeats within its own stream (a
-// later duplicate can never be the global first occurrence, so local
+// distinctKeys is the keyed terminal stage for DISTINCT: each worker
+// computes row keys and drops repeats within its own stream (a later
+// duplicate can never be the global first occurrence, so local
 // pre-deduplication is always safe). The cross-worker merge happens in
 // distinctMergeIter.
 func distinctKeys() keyFactory {
-	return func() keyFn {
+	return func(reuse bool) keyFn {
 		var idx []int
 		var kbuf []byte
 		local := make(map[string]bool)
+		buf := outBuf[schema.Row]{reuse: reuse}
+		kb := outBuf[string]{reuse: reuse}
 		return func(in schema.Rows) (schema.Rows, []string, error) {
-			out := make(schema.Rows, 0, len(in))
-			keys := make([]string, 0, len(in))
+			out := buf.start(len(in))
+			keys := kb.start(len(in))
 			for _, r := range in {
 				if idx == nil {
 					idx = allIndexes(len(r))
 				}
+				// Canonical byte key in a reused scratch buffer: the map
+				// lookup on string(kbuf) compiles allocation-free.
 				kbuf = r.AppendGroupKey(kbuf[:0], idx)
 				if local[string(kbuf)] {
 					continue
@@ -564,21 +685,23 @@ func distinctKeys() keyFactory {
 				out = append(out, r)
 				keys = append(keys, k)
 			}
-			return out, keys, nil
+			return buf.done(out), kb.done(keys), nil
 		}
 	}
 }
 
-// groupKeys is the keyed terminal stage for parallel GROUP BY: workers
-// evaluate the grouping expressions for their morsels (the expensive part
-// of grouping), producing the same key strings buildGroups would.
+// groupKeys is the keyed terminal stage for GROUP BY: workers evaluate the
+// grouping expressions for their morsels (the expensive part of grouping).
+// Canonical byte keys are self-delimiting (see Value.AppendGroupKey), so
+// concatenation needs no separator.
 func groupKeys(b *binding, exprs []sqlparser.Expr) keyFactory {
-	return func() keyFn {
+	return func(reuse bool) keyFn {
 		env := (&rowEnv{b: b}).reuse()
 		var kbuf []byte
+		kb := outBuf[string]{reuse: reuse}
 		return func(in schema.Rows) (schema.Rows, []string, error) {
-			keys := make([]string, len(in))
-			for i, r := range in {
+			keys := kb.start(len(in))
+			for _, r := range in {
 				env.row = r
 				kbuf = kbuf[:0]
 				for _, ex := range exprs {
@@ -588,9 +711,9 @@ func groupKeys(b *binding, exprs []sqlparser.Expr) keyFactory {
 					}
 					kbuf = v.AppendGroupKey(kbuf)
 				}
-				keys[i] = string(kbuf)
+				keys = append(keys, string(kbuf))
 			}
-			return in, keys, nil
+			return in, kb.done(keys), nil
 		}
 	}
 }
@@ -708,299 +831,34 @@ func parallelRanges(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// --- Parallel compilation --------------------------------------------------
+// --- Grouped evaluation ----------------------------------------------------
 
-// parallelizable reports whether a block may take the parallel path: a
-// streaming LIMIT (no breaker below it) keeps the serial pipeline so its
-// early-termination guarantee — O(n + batch) rows read from storage —
-// survives; everything else is eligible.
-func (e *Engine) parallelizable(blk *plan.Block) bool {
-	if e.par < 2 {
-		return false
-	}
-	streamingLimit := blk.Limit != nil && blk.Agg == nil && blk.Win == nil && blk.Sort == nil
-	return !streamingLimit
-}
-
-// openBlockParallel compiles one query block onto the worker pipeline.
-// ok=false (with no error and nothing opened) means the block shape is not
-// worth parallelizing and the caller should take the serial path.
-func (e *Engine) openBlockParallel(ctx context.Context, blk *plan.Block, src plan.Node) (*schema.Relation, schema.RowIterator, bool, error) {
-	seg, ok, err := e.openParSource(ctx, src, blk)
-	if err != nil {
-		return nil, nil, true, err
-	}
-	if !ok {
-		return nil, nil, false, nil
-	}
-
-	if blk.Agg != nil {
-		rel, rows, err := e.evalGroupedParallel(blk, seg)
-		if err != nil {
-			return nil, nil, true, err
-		}
-		return rel, schema.WithContext(ctx, schema.IterateRows(rows, schema.DefaultBatchSize)), true, nil
-	}
-	if blk.Win != nil || blk.Sort != nil {
-		// The breaker evaluation stays serial, but its input is produced by
-		// the workers; the exchange's ordering makes the materialized input
-		// — and therefore sort ties and window frames — identical to serial.
-		rel, rows, err := e.evalBroken(blk, seg.b, seg.iterator(e.par))
-		if err != nil {
-			return nil, nil, true, err
-		}
-		return rel, schema.WithContext(ctx, schema.IterateRows(rows, schema.DefaultBatchSize)), true, nil
-	}
-
-	p, err := buildProjector(blk.Items(), seg.b)
-	if err != nil {
-		seg.close()
-		return nil, nil, true, err
-	}
-	if !p.identity {
-		// An all-plain-column projection directly over a vectorized join
-		// (no intervening worker stages — residual filters would see the
-		// combined layout) folds into the join's output gather.
-		retargeted := false
-		if vm, ok := seg.ms.(*vecJoinMorsels); ok && len(seg.mk) == 0 {
-			if om, omOK := projOutMap(p); omOK {
-				vm.core.retarget(om)
-				retargeted = true
-			}
-		}
-		if !retargeted {
-			seg.mk = append(seg.mk, projStage(p, seg.b))
-		}
-	}
-	var out schema.RowIterator
-	if blk.Distinct != nil {
-		out = &distinctMergeIter{x: newExchange(seg, e.par, distinctKeys()), seen: make(map[string]bool)}
-	} else {
-		out = seg.iterator(e.par)
-	}
-	// blk.Limit is nil here: streaming-limit blocks never take this path.
-	return p.rel, schema.WithContext(ctx, out), true, nil
-}
-
-// openParSource compiles a block's source node into a segment, mirroring
-// openSource. Residual block filters become worker stages (single-relation
-// scans fold them into the scan stage itself).
-func (e *Engine) openParSource(ctx context.Context, src plan.Node, blk *plan.Block) (*parSeg, bool, error) {
-	if s, ok := src.(*plan.Scan); ok {
-		seg, err := e.openParScan(ctx, s, blk) // folds the filters into the scan stage
-		return seg, true, err
-	}
-	filters := blk.FilterConds()
-	switch x := src.(type) {
-	case *plan.Values:
-		// A single synthetic row: nothing to parallelize.
-		return nil, false, nil
-	case *plan.Derived:
-		rel, it, err := e.openBlock(ctx, x.Input)
-		if err != nil {
-			return nil, true, err
-		}
-		seg := &parSeg{b: bindingFromRelation(rel, x.Alias), it: it}
-		seg.addFilters(filters)
-		return seg, true, nil
-	case *plan.Join:
-		seg, ok, err := e.openParJoin(ctx, x)
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		seg.addFilters(filters)
-		return seg, true, nil
-	default:
-		rel, it, err := e.openBlock(ctx, src)
-		if err != nil {
-			return nil, true, err
-		}
-		seg := &parSeg{b: bindingFromRelation(rel, ""), it: it}
-		seg.addFilters(filters)
-		return seg, true, nil
-	}
-}
-
-func (s *parSeg) addFilters(conds []sqlparser.Expr) {
-	for _, c := range conds {
-		s.mk = append(s.mk, filterStage(s.b, c))
-	}
-}
-
-// openParScan is the parallel counterpart of openPlanScan: the source is
-// opened raw (no filter, no projection) as a morsel source, and the scan's
-// predicate, residual filters and pruned projection run per worker.
-func (e *Engine) openParScan(ctx context.Context, s *plan.Scan, blk *plan.Block) (*parSeg, error) {
-	rel, err := RelationSchema(e.src, s.Table)
-	if err != nil {
-		return nil, err
-	}
-	qual := s.Table
-	if s.Alias != "" {
-		qual = s.Alias
-	}
-	full := bindingFromRelation(rel, qual)
-
-	filters := blk.FilterConds()
-	conds := make([]sqlparser.Expr, 0, 1+len(filters))
-	if s.Predicate != nil {
-		conds = append(conds, s.Predicate)
-	}
-	conds = append(conds, filters...)
-
-	b := full
-	cols := e.scanColumns(s, blk, full)
-	if cols != nil {
-		b = bindingFromRelation(rel.Project(cols), qual)
-	}
-
-	seg := &parSeg{b: b}
-
-	// Vectorized path: a columnar morsel source runs the filter kernels and
-	// the survivor pivot on each claiming worker, replacing the full-width
-	// pivot plus row-at-a-time scan stage. Unlike the serial scan this pays
-	// off even without kernels, because the pruned pivot happens columnar
-	// per worker instead of full-width behind the shared cursor.
-	if cs, ok := e.src.(ColScanner); ok {
-		if p, pok := compileVecScan(rel, qual, full, conds, cols); pok {
-			ms, err := cs.OpenColMorsels(ctx, s.Table, p.colScan(rel.Arity()))
-			if err != nil {
-				return nil, err
-			}
-			seg.ms = &vecMorsels{src: ms, p: p}
-			return seg, nil
-		}
-	}
-
-	if msrc, ok := e.src.(MorselScanner); ok {
-		ms, err := msrc.OpenMorsels(ctx, s.Table, schema.DefaultBatchSize)
-		if err != nil {
-			return nil, err
-		}
-		seg.ms = ms
-	} else {
-		it, err := OpenScan(ctx, e.src, s.Table, schema.Scan{})
-		if err != nil {
-			return nil, err
-		}
-		seg.it = it
-	}
-	if len(conds) > 0 || cols != nil {
-		seg.mk = append(seg.mk, scanStage(full, conds, cols))
-	}
-	return seg, nil
-}
-
-// openParJoin compiles a join onto the worker pipeline: the build (right)
-// side is materialized and indexed by partitioned parallel build, the
-// probe (left) side extends its segment with a probe stage so each worker
-// probes its own morsels against the shared immutable index.
-func (e *Engine) openParJoin(ctx context.Context, j *plan.Join) (*parSeg, bool, error) {
-	if seg, handled, err := e.openParVecJoin(ctx, j); handled || err != nil {
-		return seg, handled, err
-	}
-	left, ok, err := e.openParJoinSide(ctx, j.Left)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	rb, rit, err := e.openJoinSide(ctx, j.Right)
-	if err != nil {
-		left.close()
-		return nil, true, err
-	}
-	rrows, err := schema.DrainIterator(rit)
-	if err != nil {
-		left.close()
-		return nil, true, err
-	}
-	return e.parJoinFromBuild(j, left, rb, rrows), true, nil
-}
-
-// parJoinFromBuild appends the row-path probe stage for an already-drained
-// build side, shared by openParJoin and openParVecJoin's late declines.
-func (e *Engine) parJoinFromBuild(j *plan.Join, left *parSeg, rb *binding, rrows schema.Rows) *parSeg {
-	lb := left.b
-	cb := lb.concat(rb)
-	seg := left
-	seg.b = cb
-
-	if j.Type == sqlparser.JoinCross {
-		seg.mk = append(seg.mk, loopProbeStage(rrows, nil, cb, false, nil))
-		return seg
-	}
-
-	eqL, eqR, rest := splitEquiJoin(j.On, lb, rb)
-	if len(eqL) > 0 {
-		ix := buildJoinIndex(rrows, eqR, e.par)
-		seg.mk = append(seg.mk, hashProbeStage(ix, rrows, eqL, rest, cb,
-			j.Type == sqlparser.JoinLeft, nullRow(len(rb.cols))))
-		return seg
-	}
-	seg.mk = append(seg.mk, loopProbeStage(rrows, j.On, cb,
-		j.Type == sqlparser.JoinLeft, nullRow(len(rb.cols))))
-	return seg
-}
-
-// openParJoinSide compiles one probe-side input, mirroring openJoinSide.
-func (e *Engine) openParJoinSide(ctx context.Context, n plan.Node) (*parSeg, bool, error) {
-	switch x := n.(type) {
-	case *plan.Scan:
-		seg, err := e.openParScan(ctx, x, &plan.Block{})
-		return seg, true, err
-	case *plan.Derived:
-		rel, it, err := e.openBlock(ctx, x.Input)
-		if err != nil {
-			return nil, true, err
-		}
-		return &parSeg{b: bindingFromRelation(rel, x.Alias), it: it}, true, nil
-	case *plan.Join:
-		return e.openParJoin(ctx, x)
-	case *plan.Filter:
-		seg, ok, err := e.openParJoinSide(ctx, x.Input)
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		seg.mk = append(seg.mk, filterStage(seg.b, x.Cond))
-		return seg, true, nil
-	default:
-		rel, it, err := e.openBlock(ctx, n)
-		if err != nil {
-			return nil, true, err
-		}
-		return &parSeg{b: bindingFromRelation(rel, ""), it: it}, true, nil
-	}
-}
-
-// --- Parallel grouped evaluation ------------------------------------------
-
-// evalGroupedParallel is the partitioned aggregation path: workers compute
-// group keys morsel-parallel, the merge partitions rows into groups in
-// serial order (so each group's row list is exactly the serial one), and
+// evalGrouped handles blocks with GROUP BY, HAVING or aggregate functions
+// in the select list, one output row per surviving group: workers compute
+// group keys per morsel, the merge partitions rows into groups in morsel
+// order (so each group's row list does not depend on the worker count), and
 // per-group aggregate folds + HAVING + projection run group-parallel. The
 // merge order makes group output order — and, because every group folds
-// its rows in serial order, every aggregate value — bit-identical to
-// serial execution.
-func (e *Engine) evalGroupedParallel(blk *plan.Block, seg *parSeg) (*schema.Relation, schema.Rows, error) {
+// its rows in that order, every aggregate value — bit-identical for any
+// worker count.
+func (e *Engine) evalGrouped(blk *plan.Block, seg *parSeg) (*schema.Relation, schema.Rows, error) {
 	groupBy := blk.GroupBy()
 	var kf keyFactory
 	if len(groupBy) > 0 {
 		kf = groupKeys(seg.b, groupBy)
 	}
-	x := newExchange(seg, e.par, kf)
-	groups, err := collectGroups(x, len(groupBy) == 0)
+	groups, err := collectGroups(newExchange(seg, kf), len(groupBy) == 0)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Deliberately after the drain: the serial path (evalBroken →
-	// evalGrouped) also drains the whole input before validating the select
-	// list, so a query with both a scan error and an invalid grouped select
-	// list surfaces the same error either way.
+	// Validated after the drain, so a query with both a scan error and an
+	// invalid grouped select list reports the scan error.
 	aggCalls, rel, err := groupSpecCompile(blk, seg.b)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := e.evalGroupsParallel(blk, seg.b, aggCalls, rel, groups)
+	out, err := evalGroups(blk, seg.b, aggCalls, rel, groups, seg.workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1010,7 +868,7 @@ func (e *Engine) evalGroupedParallel(blk *plan.Block, seg *parSeg) (*schema.Rela
 // collectGroups drains the exchange in morsel order, partitioning rows
 // into groups by the worker-computed keys (or into the single implicit
 // group when the block has no GROUP BY — which exists even for empty
-// input, so COUNT(*) over nothing yields 0, exactly like buildGroups).
+// input, so COUNT(*) over nothing yields 0).
 func collectGroups(x *exchange, single bool) ([]*group, error) {
 	defer x.close()
 	index := make(map[string]*group)
@@ -1049,13 +907,13 @@ func collectGroups(x *exchange, single bool) ([]*group, error) {
 	}
 }
 
-// evalGroupsParallel evaluates aggregates, HAVING and the select list for
-// contiguous chunks of groups concurrently. Output slots are per-group, so
-// the compacted result preserves group order; on errors the lowest group
-// index wins, matching the group at which serial evaluation would stop.
-func (e *Engine) evalGroupsParallel(blk *plan.Block, b *binding, aggCalls []*sqlparser.FuncCall, rel *schema.Relation, groups []*group) (*Result, error) {
+// evalGroups evaluates aggregates, HAVING and the select list for
+// contiguous chunks of groups concurrently (inline below two workers or two
+// groups). Output slots are per-group, so the compacted result preserves
+// group order; on errors the lowest group index wins, matching the group at
+// which in-order evaluation would stop.
+func evalGroups(blk *plan.Block, b *binding, aggCalls []*sqlparser.FuncCall, rel *schema.Relation, groups []*group, workers int) (*Result, error) {
 	n := len(groups)
-	workers := e.par
 	if workers > n {
 		workers = n
 	}

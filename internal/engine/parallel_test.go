@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -210,17 +212,57 @@ func TestParallelCancelBeforePull(t *testing.T) {
 	}
 }
 
-// TestParallelErrorPosition: a mid-stream source error surfaces through
-// the exchange exactly once, as the same error serial execution reports.
+// TestParallelErrorPosition: the first error ends the stream at the same
+// position — after the same rows — for every worker count,
+// whether the source raises it mid-scan (after five batches) or a stage
+// does (division by zero at t = 700, inside the third batch, which then
+// yields no rows at all).
 func TestParallelErrorPosition(t *testing.T) {
 	errBoom := errors.New("boom")
 	st := benchStore(t, 10_000)
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		src := &failingSource{st: st, failAfter: 5, err: errBoom}
-		_, err := New(src).WithParallelism(workers).Query(context.Background(), "SELECT * FROM d WHERE z < 1")
+		n, err := rowsBeforeError(t, New(src).WithParallelism(workers), "SELECT x + y AS s FROM d")
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("workers=%d: want boom error, got %v", workers, err)
 		}
+		if want := 5 * schema.DefaultBatchSize; n != want {
+			t.Fatalf("workers=%d: source error after %d rows, want %d", workers, n, want)
+		}
+
+		n, err = rowsBeforeError(t, New(st).WithParallelism(workers), "SELECT x, 1000 / (t - 700) AS q FROM d")
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("workers=%d: want division by zero, got %v", workers, err)
+		}
+		if want := 2 * schema.DefaultBatchSize; n != want {
+			t.Fatalf("workers=%d: stage error after %d rows, want %d", workers, n, want)
+		}
+	}
+}
+
+// rowsBeforeError pulls a pipeline until it ends and returns how many rows
+// it delivered and the error that ended it.
+func rowsBeforeError(t *testing.T, eng *Engine, sql string) (int, error) {
+	t.Helper()
+	sel, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, it, err := eng.OpenSelect(context.Background(), sel)
+	if err != nil {
+		return 0, err
+	}
+	defer it.Close()
+	n := 0
+	for {
+		b, err := it.Next()
+		if err != nil {
+			return n, err
+		}
+		if b == nil {
+			return n, nil
+		}
+		n += len(b)
 	}
 }
 
@@ -294,6 +336,44 @@ func TestParallelConcurrentOpens(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestOneWorkerStartsNoGoroutine pins "exchange elided": a one-worker
+// pipeline runs on its consumer's goroutine — the goroutine count never
+// moves between open, every pull and close — over the whole equivalence
+// corpus, on the store and on a capability-stripped source.
+func TestOneWorkerStartsNoGoroutine(t *testing.T) {
+	st := vecStore(t, false)
+	for _, src := range []Source{st, rowOnly{st}} {
+		eng := New(src).WithParallelism(1)
+		for _, q := range equivalenceQueries {
+			sel, err := sqlparser.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			check := func(when string) {
+				t.Helper()
+				if n := runtime.NumGoroutine(); n != before {
+					t.Fatalf("%q: %d goroutines %s, %d before open", q, n, when, before)
+				}
+			}
+			_, it, err := eng.OpenSelect(context.Background(), sel)
+			check("after open")
+			if err != nil {
+				continue // the corpus holds error cases; breakers raise them at open
+			}
+			for {
+				b, err := it.Next()
+				check("after a pull")
+				if b == nil || err != nil {
+					break
+				}
+			}
+			it.Close()
+			check("after close")
 		}
 	}
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // EvalExpr evaluates a scalar expression against a single row of the given
-// relation. It is used by the stream processor (sensor-level filters) and by
-// the policy engine when checking atomic conditions.
+// relation.
 func EvalExpr(rel *schema.Relation, row schema.Row, e sqlparser.Expr) (schema.Value, error) {
 	env := &rowEnv{b: bindingFromRelation(rel, rel.Name), row: row}
 	return evalExpr(env, e)
@@ -24,7 +23,7 @@ func EvalPredicate(rel *schema.Relation, row schema.Row, e sqlparser.Expr) (bool
 }
 
 // EvalAggregate computes a single aggregate call over a set of rows of the
-// given relation, e.g. AVG(z) over the rows of a stream window.
+// given relation, e.g. AVG(z) over the rows of a window.
 func EvalAggregate(rel *schema.Relation, rows schema.Rows, f *sqlparser.FuncCall) (schema.Value, error) {
 	return evalAggregate(bindingFromRelation(rel, rel.Name), rows, f)
 }

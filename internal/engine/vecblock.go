@@ -65,7 +65,7 @@ func (e *Engine) vecBlockScan(s *plan.Scan, blk *plan.Block) (*vecScanPlan, *sch
 // openVecDistinct compiles SELECT DISTINCT over plain columns of a single
 // table: duplicates are eliminated on the column vectors, so only the unique
 // rows are ever pivoted to row form. With few distinct values this skips
-// almost all of the pivot work the row path pays before its distinctIter.
+// almost all of the pivot work the row path pays before its DISTINCT stage.
 func (e *Engine) openVecDistinct(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, bool, error) {
 	p, rel, ok := e.vecBlockScan(s, blk)
 	if !ok {

@@ -18,8 +18,8 @@ import (
 // Decline-don't-approximate: the path requires an inner or left join whose
 // ON clause is purely equi (no residual conjuncts — the row probe owns
 // residual evaluation order), with the probe a bare base-table scan over a
-// ColScanner whose predicate vectorizes. Anything else takes the row path,
-// reusing the already-drained build side where possible.
+// ColScanner whose predicate vectorizes. Anything else takes the row probe
+// stages, reusing the already-drained build side where possible.
 
 // vecJoinCore is the shared immutable state of one compiled vectorized
 // join: the probe scan plan, the partitioned build index, and the build
@@ -178,40 +178,24 @@ func (e *vecJoinExec) probe(cb *schema.ColBatch) (schema.Rows, error) {
 	return rows, nil
 }
 
-// vecJoinIter is the serial surface: one probe executor over a columnar
-// scan.
-type vecJoinIter struct {
-	src schema.ColIterator
-	ex  *vecJoinExec
-}
-
-func (v *vecJoinIter) Next() (schema.Rows, error) {
-	for {
-		cb, err := v.src.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if cb == nil {
-			return nil, nil
-		}
-		rows, err := v.ex.probe(cb)
-		if err != nil {
-			return nil, err
-		}
-		if len(rows) > 0 {
-			return rows, nil
-		}
-	}
-}
-
-func (v *vecJoinIter) Close() { v.src.Close() }
-
-// vecJoinMorsels is the parallel surface: each claim filters, probes and
-// gathers its own batch on the claiming worker's goroutine against the
+// vecJoinMorsels is the join as a morsel source: each claim filters, probes
+// and gathers its own batch on the claiming worker's goroutine against the
 // shared immutable core.
 type vecJoinMorsels struct {
 	src  schema.ColMorselSource
 	core *vecJoinCore
+	// sole is the one probe executor of a one-worker segment, its scratch
+	// reused across claims; nil when several workers claim concurrently and
+	// each claim builds its own.
+	sole *vecJoinExec
+}
+
+func newVecJoinMorsels(src schema.ColMorselSource, core *vecJoinCore, workers int) *vecJoinMorsels {
+	v := &vecJoinMorsels{src: src, core: core}
+	if workers == 1 {
+		v.sole = newVecJoinExec(core)
+	}
+	return v
 }
 
 func (v *vecJoinMorsels) NextMorsel() (schema.Morsel, error) {
@@ -222,7 +206,11 @@ func (v *vecJoinMorsels) NextMorsel() (schema.Morsel, error) {
 	if cm.Batch == nil {
 		return schema.Morsel{}, nil
 	}
-	rows, err := newVecJoinExec(v.core).probe(cm.Batch)
+	ex := v.sole
+	if ex == nil {
+		ex = newVecJoinExec(v.core)
+	}
+	rows, err := ex.probe(cm.Batch)
 	if err != nil {
 		return schema.Morsel{Seq: cm.Seq}, err
 	}
@@ -270,77 +258,37 @@ func (e *Engine) compileVecJoinProbe(n plan.Node) (*vecScanPlan, *plan.Scan, *bi
 	return p, s, b, rel.Arity(), true
 }
 
-// openVecJoin tries the vectorized probe for a serial join. ok=false means
-// nothing was opened and the caller owns the row path. When ok is true the
-// vec path owns the join — including the late declines (no equi key,
+// openVecJoin tries the vectorized probe for a join. handled=false means
+// nothing was opened and the caller owns the row path. When handled is true
+// the vec path owns the join — including the late declines (no equi key,
 // residual ON conjuncts) discovered only after draining the build side,
 // which fall back to the row probe over the already-drained build rows.
-func (e *Engine) openVecJoin(ctx context.Context, j *plan.Join) (*binding, schema.RowIterator, bool, error) {
+func (e *Engine) openVecJoin(ctx context.Context, j *plan.Join, workers int) (*parSeg, bool, error) {
 	if j.Type != sqlparser.JoinInner && j.Type != sqlparser.JoinLeft {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	p, s, pb, arity, ok := e.compileVecJoinProbe(j.Left)
 	if !ok {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
-	rb, rit, err := e.openJoinSide(ctx, j.Right)
+	rb, rrows, err := e.drainBuildSide(ctx, j.Right)
 	if err != nil {
-		return nil, nil, true, err
-	}
-	rrows, err := schema.DrainIterator(rit)
-	if err != nil {
-		return nil, nil, true, err
+		return nil, true, err
 	}
 	eqL, eqR, rest := splitEquiJoin(j.On, pb, rb)
 	if len(eqL) == 0 || len(rest) > 0 {
-		lb, lit, err := e.openJoinSide(ctx, j.Left)
+		left, err := e.openJoinSide(ctx, j.Left, workers)
 		if err != nil {
-			return nil, nil, true, err
+			return nil, true, err
 		}
-		cb, it := joinFromBuild(j, lb, lit, rb, rrows)
-		return cb, it, true, nil
+		return joinFromBuild(j, left, rb, rrows), true, nil
 	}
-	core := newVecJoinCore(p, arity, rb, rrows, eqL, eqR, j.Type == sqlparser.JoinLeft, 1)
-	ci, err := e.src.(ColScanner).OpenColScan(ctx, s.Table, p.colScan(arity))
-	if err != nil {
-		return nil, nil, true, err
-	}
-	return pb.concat(rb), &vecJoinIter{src: ci, ex: newVecJoinExec(core)}, true, nil
-}
-
-// openParVecJoin is the parallel twin: the build index is built by
-// partitioned parallel workers and the probe runs per-claim on columnar
-// morsels. handled=false means nothing was opened.
-func (e *Engine) openParVecJoin(ctx context.Context, j *plan.Join) (*parSeg, bool, error) {
-	if j.Type != sqlparser.JoinInner && j.Type != sqlparser.JoinLeft {
-		return nil, false, nil
-	}
-	p, s, pb, arity, ok := e.compileVecJoinProbe(j.Left)
-	if !ok {
-		return nil, false, nil
-	}
-	rb, rit, err := e.openJoinSide(ctx, j.Right)
-	if err != nil {
-		return nil, true, err
-	}
-	rrows, err := schema.DrainIterator(rit)
-	if err != nil {
-		return nil, true, err
-	}
-	eqL, eqR, rest := splitEquiJoin(j.On, pb, rb)
-	if len(eqL) == 0 || len(rest) > 0 {
-		left, lok, err := e.openParJoinSide(ctx, j.Left)
-		if err != nil || !lok {
-			return nil, lok, err
-		}
-		return e.parJoinFromBuild(j, left, rb, rrows), true, nil
-	}
-	core := newVecJoinCore(p, arity, rb, rrows, eqL, eqR, j.Type == sqlparser.JoinLeft, e.par)
+	core := newVecJoinCore(p, arity, rb, rrows, eqL, eqR, j.Type == sqlparser.JoinLeft, workers)
 	ms, err := e.src.(ColScanner).OpenColMorsels(ctx, s.Table, p.colScan(arity))
 	if err != nil {
 		return nil, true, err
 	}
-	return &parSeg{b: pb.concat(rb), ms: &vecJoinMorsels{src: ms, core: core}}, true, nil
+	return &parSeg{b: pb.concat(rb), ms: newVecJoinMorsels(ms, core, workers), workers: workers}, true, nil
 }
 
 // projOutMap flattens an all-plain-column projection into source positions;

@@ -10,14 +10,16 @@ import (
 // ColScanner is the optional source capability behind vectorized scans: a
 // source that can serve column batches (and columnar morsels) directly, so
 // filter kernels run over typed vectors and rejected rows are never pivoted
-// to row form. storage.Store implements it; fragment, stream and network
-// sources do not, and those scans silently stay on the row path.
+// to row form. storage.Store implements it; fragment and network sources do
+// not, and those scans run the row-at-a-time scan stage (or the source's own
+// pushed-down scan) instead.
 type ColScanner interface {
-	// OpenColScan opens a serial columnar scan over the named relation with
-	// the given projection, structured pruning predicate and batch size.
+	// OpenColScan opens a single-consumer columnar scan over the named
+	// relation with the given projection, structured pruning predicate and
+	// batch size; the whole-block kernels (vecblock.go) drain it.
 	OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error)
-	// OpenColMorsels is the parallel twin: a partitioned columnar scan
-	// safe for concurrent claims.
+	// OpenColMorsels is the partitioned twin, safe for concurrent claims:
+	// the morsel source of scan and join-probe segments.
 	OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error)
 }
 
@@ -137,8 +139,7 @@ func (p *vecScanPlan) colScan(arity int) schema.ColScan {
 }
 
 // vecExec runs a compiled scan plan over column batches. One instance is
-// single-goroutine state (selection scratch, residual env); parallel
-// morsels allocate one per claim.
+// single-goroutine state (selection scratch, residual env).
 type vecExec struct {
 	p    *vecScanPlan
 	a, b selBuf
@@ -146,6 +147,9 @@ type vecExec struct {
 }
 
 func newVecExec(p *vecScanPlan) *vecExec {
+	if len(p.kernels) == 0 && p.residual == nil {
+		return &vecExec{p: p} // filterSel passes selections through untouched
+	}
 	x := &vecExec{p: p, env: (&rowEnv{b: p.lb}).reuse()}
 	// The scratch selections start non-nil: a computed selection that ends
 	// up empty must stay distinguishable from ColBatch's nil-means-all-rows.
@@ -247,40 +251,24 @@ func (x *vecExec) apply(cb *schema.ColBatch) (schema.Rows, error) {
 	return out.Rows(), nil
 }
 
-// vecScanIter adapts a columnar scan + compiled plan to the row-iterator
-// surface: filter kernels run columnar, only survivors pivot to rows.
-type vecScanIter struct {
-	src schema.ColIterator
-	ex  *vecExec
-}
-
-func (v *vecScanIter) Next() (schema.Rows, error) {
-	for {
-		cb, err := v.src.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if cb == nil {
-			return nil, nil
-		}
-		rows, err := v.ex.apply(cb)
-		if err != nil {
-			return nil, err
-		}
-		if len(rows) > 0 {
-			return rows, nil
-		}
-	}
-}
-
-func (v *vecScanIter) Close() { v.src.Close() }
-
 // vecMorsels adapts a columnar morsel source to the row-morsel surface:
 // each claim filters and pivots its batch on the claiming worker's
-// goroutine, so kernels run in parallel and the scan stage disappears.
+// goroutine, so kernels run in parallel and no scan stage is needed.
 type vecMorsels struct {
 	src schema.ColMorselSource
 	p   *vecScanPlan
+	// sole is the one executor of a one-worker segment, its scratch reused
+	// across claims; nil when several workers claim concurrently and each
+	// claim builds its own.
+	sole *vecExec
+}
+
+func newVecMorsels(src schema.ColMorselSource, p *vecScanPlan, workers int) *vecMorsels {
+	v := &vecMorsels{src: src, p: p}
+	if workers == 1 {
+		v.sole = newVecExec(p)
+	}
+	return v
 }
 
 func (v *vecMorsels) NextMorsel() (schema.Morsel, error) {
@@ -291,7 +279,11 @@ func (v *vecMorsels) NextMorsel() (schema.Morsel, error) {
 	if cm.Batch == nil {
 		return schema.Morsel{}, nil
 	}
-	rows, err := newVecExec(v.p).apply(cm.Batch)
+	ex := v.sole
+	if ex == nil {
+		ex = newVecExec(v.p)
+	}
+	rows, err := ex.apply(cm.Batch)
 	if err != nil {
 		return schema.Morsel{Seq: cm.Seq}, err
 	}

@@ -1,7 +1,7 @@
 // Package schema defines the value model, row representation and relation
 // schemas shared by every layer of PArADISE — the storage engine, the SQL
-// executor, the stream processor, the anonymizer and the privacy metrics —
-// plus the iterator vocabulary those layers stream rows through.
+// executor, the anonymizer and the privacy metrics — plus the iterator
+// vocabulary those layers stream rows through.
 //
 // Two execution contracts live here:
 //

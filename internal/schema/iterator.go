@@ -3,7 +3,7 @@ package schema
 import "context"
 
 // This file defines the batch-iterator vocabulary shared by the storage,
-// engine, fragment, network and stream layers: relations flow through the
+// engine, fragment and network layers: relations flow through the
 // execution pipeline as pulled batches of rows instead of fully materialized
 // Rows slices, so intermediate memory is bounded by the batch size and a
 // consumer that stops early (LIMIT) stops its producers too.

@@ -7,7 +7,7 @@
 // Snapshot materializes a stable copy; Table.Scan streams batches
 // incrementally with predicate and projection pushdown, so an early-closing
 // consumer (LIMIT) leaves the rest of the table untouched; and
-// Table.ScanMorsels / Table.ScanPartitions split the table into morsels —
-// locked subslices of the append-only row slice, no copying — handed out
-// to concurrent workers for the engine's morsel-driven parallel scans.
+// Table.ScanMorsels / Table.ScanColMorsels split the table into
+// segment-aligned morsels claimed lock-free by however many workers the
+// engine runs a scan with.
 package storage

@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"testing"
 
@@ -102,49 +101,5 @@ func TestScanMorselsCancellation(t *testing.T) {
 	}
 	if errCount != 1 || doneCount != 3 {
 		t.Fatalf("want exactly one error delivery then exhaustion, got %d errors / %d done", errCount, doneCount)
-	}
-}
-
-// TestScanPartitions: the partitioned Table.Scan applies filter and
-// projection per partition and the union of all partitions equals the
-// serial scan's row set.
-func TestScanPartitions(t *testing.T) {
-	tab := morselStore(t, 500)
-	sc := schema.Scan{
-		Filter: func(r schema.Row) (bool, error) { return r[0].AsInt()%2 == 0, nil },
-	}
-	want, err := schema.DrainIterator(tab.Scan(context.Background(), sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parts := tab.ScanPartitions(context.Background(), sc, 3)
-	var mu sync.Mutex
-	var union schema.Rows
-	var wg sync.WaitGroup
-	for _, p := range parts {
-		wg.Add(1)
-		go func(p schema.RowIterator) {
-			defer wg.Done()
-			rows, err := schema.DrainIterator(p)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			union = append(union, rows...)
-			mu.Unlock()
-		}(p)
-	}
-	wg.Wait()
-
-	if len(union) != len(want) {
-		t.Fatalf("partitions produced %d rows, serial scan %d", len(union), len(want))
-	}
-	sort.Slice(union, func(i, j int) bool { return union[i][0].AsInt() < union[j][0].AsInt() })
-	for i := range want {
-		if union[i][0].AsInt() != want[i][0].AsInt() {
-			t.Fatalf("row %d: got %v, want %v", i, union[i], want[i])
-		}
 	}
 }

@@ -706,29 +706,6 @@ func (m *tableColMorsels) NextColMorsel() (schema.ColMorsel, error) {
 
 func (m *tableColMorsels) Close() { m.cursor.close() }
 
-// ScanPartitions splits the table scan into n iterators sharing one morsel
-// cursor: each iterator pull claims the next unclaimed morsel and applies
-// the scan's filter and projection worker-side, so n goroutines draining
-// one iterator each cover the table exactly once. Segment pruning applies
-// through sc.Predicate exactly as in Scan. Row order across partitions
-// follows claim order, not table order; callers needing the serial order
-// must merge by morsel sequence (the engine's exchange does, via
-// ScanMorsels directly). Because one sc.Filter closure is shared by all n
-// partitions, it must be safe for concurrent calls (a pure function of the
-// row); stateful per-worker filters belong in per-partition stages over
-// ScanMorsels instead.
-func (t *Table) ScanPartitions(ctx context.Context, sc schema.Scan, n int) []schema.RowIterator {
-	if n < 1 {
-		n = 1
-	}
-	src := &tableMorsels{cursor: t.openCursor(ctx, schema.ColScan{Predicate: sc.Predicate, BatchSize: sc.BatchSize})}
-	out := make([]schema.RowIterator, n)
-	for i := range out {
-		out[i] = schema.FilterProject(schema.IterateMorsels(src), sc)
-	}
-	return out
-}
-
 // Truncate removes all rows: sealed segments are dropped (a persistent
 // backend deletes their files), the tail vectors are replaced wholesale,
 // so windows held by in-flight scans keep reading the old (still

@@ -83,15 +83,15 @@ func WithDefaultModule(id string) Option {
 // (scans, filters, projections, join probes, DISTINCT, GROUP BY
 // partitioning). The default — also chosen by any n <= 0 — is
 // runtime.GOMAXPROCS(0), i.e. all available CPUs; n = 1 keeps execution
-// serial.
+// serial: the same pipeline, run on the caller's goroutine.
 //
 // Parallelism is purely a performance knob: the engine's exchange re-emits
 // worker output in morsel order, so rows, row order, and the Figure 3
 // row/byte accounting are identical to serial execution, and a cancelled
 // context still stops the storage scans within one batch per worker.
 // Queries whose plan requires streaming order economics (a LIMIT with no
-// pipeline breaker below it) keep the serial pipeline regardless, which
-// preserves their O(limit + batch) storage-read guarantee.
+// pipeline breaker below it) run that block with one worker regardless,
+// which preserves their O(limit + batch) storage-read guarantee.
 func WithParallelism(n int) Option {
 	return func(c *sessionConfig) { c.parallel = n }
 }

@@ -1,0 +1,54 @@
+#!/bin/sh
+# check.sh — the one gate. Everything CI requires of a change, runnable
+# locally: formatting, vet, build, the structural guards, both full test
+# runs, the serving smoke test and the bench/ module's own checks.
+set -eu
+cd "$(dirname "$0")/.."
+
+step() { echo "== $*"; }
+
+step gofmt
+out=$(gofmt -l .)
+if [ -n "$out" ]; then
+	echo "gofmt needed on:" && echo "$out" && exit 1
+fi
+
+step go vet
+go vet ./...
+
+step go build
+go build ./...
+
+step "facade purity (no internal imports in cmd/ or examples/)"
+if grep -rn "paradise/internal" cmd/ examples/; then
+	echo "cmd/ and examples/ must use the public facade only" && exit 1
+fi
+
+step "docs lint"
+sh scripts/docslint.sh
+
+step "structural guards"
+sh scripts/blockguard.sh
+sh scripts/vecguard.sh
+
+# The golden plan snapshots (internal/plan/testdata) run as part of go
+# test; regenerate intentionally with:
+#   go test ./internal/plan/ -run TestOptimizedPlanGoldens -update
+step "go test"
+go test ./...
+
+# -cpu 1,4 runs every test at GOMAXPROCS=1 (the facade defaults to one
+# worker: no exchange) and GOMAXPROCS=4 (four workers), so both drivers of
+# the segment pipeline run under the race detector.
+step "go test -race -cpu 1,4"
+go test -race -cpu 1,4 ./...
+
+step "serving smoke"
+sh scripts/servesmoke.sh
+
+# bench/ is its own module (replace paradise => ../): the go commands above
+# do not reach it (gofmt, which walks directories, already did).
+step "bench module"
+(cd bench && go vet ./... && go test ./...)
+
+echo "check: all gates passed"

@@ -11,9 +11,9 @@ import (
 	"strings"
 )
 
-// Client is a minimal consumer of the serving API, shared by cmd/loadgen
-// and the tests. It decodes numbers with json.Number, so int64 values
-// round-trip without float truncation.
+// Client is a minimal consumer of the serving API, used by the tests. It
+// decodes numbers with json.Number, so int64 values round-trip without
+// float truncation.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8780".
 	Base string

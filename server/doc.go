@@ -22,6 +22,6 @@
 // stragglers, which end their streams with a final error line instead of
 // a hang.
 //
-// cmd/paradised wraps this package as a binary; cmd/loadgen drives it
-// with configurable concurrency and reports latency percentiles.
+// cmd/paradised wraps this package as a binary; the bench/ harness drives
+// it with concurrent query mixes and reports latency percentiles.
 package server

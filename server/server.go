@@ -74,6 +74,10 @@ type Server struct {
 	baseCtx context.Context
 	kill    context.CancelFunc
 
+	// admitMu orders every wg.Add (admit) before Shutdown's wg.Wait: a
+	// query is either admitted before draining flips, and waited for, or
+	// refused.
+	admitMu  sync.Mutex
 	draining atomic.Bool
 	wg       sync.WaitGroup
 
@@ -169,7 +173,9 @@ func (s *Server) Stats() StatsSnapshot {
 // returns once every in-flight query has unwound; the error is ctx.Err()
 // when the deadline forced a truncation, nil on a clean drain.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.admitMu.Lock()
 	s.draining.Store(true)
+	s.admitMu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -185,6 +191,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
+// admit registers one in-flight query (the caller owes a wg.Done) unless
+// the server is draining.
+func (s *Server) admit() bool {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.wg.Add(1)
+	return true
+}
+
+// refuseDraining answers a query the drain turned away.
+func (s *Server) refuseDraining(w http.ResponseWriter) {
+	s.writeError(w, http.StatusServiceUnavailable,
+		&Message{Type: "error", Code: "draining", Message: "server is shutting down"})
+}
+
 // handleQuery serves POST /v1/query: resolve the tenant, open a streaming
 // cursor under the request-scoped context, stream NDJSON.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -193,9 +217,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			&Message{Type: "error", Code: "method_not_allowed", Message: "use POST"})
 		return
 	}
-	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable,
-			&Message{Type: "error", Code: "draining", Message: "server is shutting down"})
+	if s.draining.Load() { // refuse before reading the body
+		s.refuseDraining(w)
 		return
 	}
 	var req QueryRequest
@@ -220,12 +243,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Shutdown may have run while the body was still arriving: from here on
+	// it either waits for this query or this query never starts.
+	if !s.admit() {
+		s.refuseDraining(w)
+		return
+	}
+	defer s.wg.Done()
+
 	// The query context: cancelled by the client disconnecting (r.Context),
 	// by a drain deadline expiring (baseCtx via AfterFunc), or by the
 	// deadline — whichever comes first. Cancellation reaches the storage
 	// scans within one batch.
-	s.wg.Add(1)
-	defer s.wg.Done()
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	stop := context.AfterFunc(s.baseCtx, cancel)

@@ -157,3 +157,39 @@ func TestShutdownMidStreamTruncates(t *testing.T) {
 		t.Fatalf("final line not newline-terminated: %q", lines[len(lines)-1])
 	}
 }
+
+// TestShutdownVersusStartingQuery: a request that passed the handler's
+// first draining check and is still sending its body when Shutdown runs
+// must not start a query behind Shutdown's back. Shutdown does not wait for
+// it (nothing is in flight yet), so it must be refused with 503.
+func TestShutdownVersusStartingQuery(t *testing.T) {
+	srv, _, _ := newTestServer(t, testStore(t, 100))
+
+	pr, pw := io.Pipe()
+	rec := httptest.NewRecorder()
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", pr))
+	}()
+	// A pipe write returns once the reader has consumed it: the handler is
+	// now inside the body decoder, past its first draining check.
+	if _, err := pw.Write([]byte(`{"sql":`)); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with nothing admitted returned %v", err)
+	}
+
+	if _, err := pw.Write([]byte(`"SELECT x FROM d"}`)); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	<-handled
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("query started after Shutdown returned: status %d, body %s", rec.Code, rec.Body.String())
+	}
+}
