@@ -116,8 +116,8 @@ func ExampleWithParallelism() {
 
 // The -explain view of cmd/paradise is Outcome.Explain: the optimized
 // logical plan of the rewritten query, policy transformations inline as
-// operator provenance, followed by the per-fragment plan trees and their
-// placement levels.
+// operator provenance, followed by the per-fragment plan trees, their
+// placement levels and how each stage's output crossed the stage boundary.
 func ExampleOutcome_Explain() {
 	sess, err := paradise.Open(exampleStore(),
 		paradise.WithPolicy(paradise.Figure4Policy()),
@@ -136,10 +136,10 @@ func ExampleOutcome_Explain() {
 	//     Scan d cols=[x, y] pushed=(x > y)
 	//       ^ policy:ActionFilter selection control (injected condition) [x, y] (x > y)
 	// fragment plans (placement):
-	// Q1 @ E4/sensor — sensor scan (reads d, emits d1) [est 6 rows / 246 bytes]
+	// Q1 @ E4/sensor — sensor scan (reads d, emits d1) [est 6 rows / 246 bytes] [ships columnar]
 	//   Project *
 	//     Scan d
-	// Q2 @ E3/appliance — appliance filter + projection (reads d1, emits d2) [est 2 rows / 32 bytes]
+	// Q2 @ E3/appliance — appliance filter + projection (reads d1, emits d2) [est 2 rows / 32 bytes] [ships columnar]
 	//   Project x, y
 	//     Scan d1 pushed=(x > y)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"paradise/internal/engine"
 	"paradise/internal/fragment"
 	logical "paradise/internal/plan"
 	"paradise/internal/policy"
@@ -248,11 +249,26 @@ func (p *Processor) preparedFor(sel *sqlparser.Select, mod *policy.Module) (*pre
 	return pr, err
 }
 
+// optimizeFragments optimizes each fragment's executable tree once, so what
+// every execution of the plan opens has its predicates in the scans (join
+// sides included) and its scans pruned — a fragment is otherwise compiled
+// exactly as the fragmenter cut it, and a join fragment would probe at full
+// width and filter after the join. It runs last: the fragmenter's rendering
+// (Fragment.Query), levels and the placement estimates all describe the
+// unoptimized cut and are already fixed. CrossBlock stays off — a fragment is
+// one block, and block boundaries are where the fragmenter put them. Roots
+// share subtrees with the statement's plan, so each is cloned first.
+func optimizeFragments(plan *fragment.Plan, cat logical.Catalog) {
+	for _, f := range plan.Fragments {
+		f.Root = logical.Optimize(logical.Clone(f.Root), logical.Options{Catalog: cat})
+	}
+}
+
 // compileStatement runs the per-statement compilation pipeline: rewrite →
-// lower → annotate → [reorder] → fragment → [place]. The two bracketed
-// cost-based steps consult the store's live statistics; the placement they
-// bake into the plan persists for the entry's cache lifetime (until DDL
-// shifts the epoch or the LRU evicts it).
+// lower → annotate → [reorder] → fragment → [place] → optimize fragments.
+// The two bracketed cost-based steps consult the store's live statistics;
+// the placement they bake into the plan persists for the entry's cache
+// lifetime (until DDL shifts the epoch or the LRU evicts it).
 func (p *Processor) compileStatement(sel *sqlparser.Select, mod *policy.Module) (*prepared, error) {
 	rewritten, rep, err := p.rewriter.Rewrite(sel, mod)
 	if err != nil {
@@ -273,6 +289,7 @@ func (p *Processor) compileStatement(sel *sqlparser.Select, mod *policy.Module) 
 	if !p.fixedPlace {
 		plan.PlaceCostBased(p.statsSource())
 	}
+	optimizeFragments(plan, engine.New(p.store).Catalog())
 	return &prepared{
 		rewritten:    rewritten,
 		rewrittenSQL: rewritten.SQL(),

@@ -4,13 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"paradise/internal/engine"
+	"paradise/internal/fragment"
 	"paradise/internal/policy"
 	"paradise/internal/rewrite"
 	"paradise/internal/schema"
+	"paradise/internal/sqlparser"
 	"paradise/internal/storage"
 )
 
@@ -52,13 +58,7 @@ func cachedProcessor(t testing.TB, st *storage.Store, pol *policy.Policy, c *Pla
 // allowAllActionFilter is a second policy under the same module ID as
 // Figure 4 but with different rules: everything plainly allowed. Same SQL,
 // same module — only the policy fingerprint tells cache entries apart.
-func allowAllActionFilter() *policy.Policy {
-	mod := &policy.Module{ID: "ActionFilter"}
-	for _, n := range []string{"user", "x", "y", "z", "t"} {
-		mod.Attributes = append(mod.Attributes, &policy.Attribute{Name: n, Allow: true})
-	}
-	return &policy.Policy{Modules: []*policy.Module{mod}}
-}
+func allowAllActionFilter() *policy.Policy { return allowAll("user", "x", "y", "z", "t") }
 
 func wantStats(t *testing.T, c *PlanCache, hits, misses uint64, size int) {
 	t.Helper()
@@ -289,5 +289,159 @@ func TestPolicyFingerprint(t *testing.T) {
 	}
 	if a.Fingerprint() == allowAllActionFilter().Fingerprint() {
 		t.Fatal("different policies share a fingerprint")
+	}
+}
+
+// scanLog wraps a store and records every columnar scan request it serves,
+// keyed by table — the scan-counting view of what a compiled plan asks of
+// storage.
+type scanLog struct {
+	*storage.Store
+	mu    sync.Mutex
+	scans map[string][]schema.ColScan
+}
+
+func (l *scanLog) record(name string, sc schema.ColScan) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.scans == nil {
+		l.scans = map[string][]schema.ColScan{}
+	}
+	l.scans[name] = append(l.scans[name], sc)
+}
+
+func (l *scanLog) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
+	l.record(name, sc)
+	return l.Store.OpenColScan(ctx, name, sc)
+}
+
+func (l *scanLog) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
+	l.record(name, sc)
+	return l.Store.OpenColMorsels(ctx, name, sc)
+}
+
+// joinStore is a six-column fact table beside a small dimension.
+func joinStore(t testing.TB) *storage.Store {
+	t.Helper()
+	st := storage.NewStore()
+	r := st.Create(schema.NewRelation("r",
+		schema.Col("sensor", schema.TypeInt),
+		schema.Col("t", schema.TypeInt),
+		schema.Col("temp", schema.TypeFloat),
+		schema.Col("hum", schema.TypeFloat),
+		schema.Col("batt", schema.TypeFloat),
+		schema.Col("status", schema.TypeString),
+	))
+	for i := 0; i < 600; i++ {
+		if err := r.Append(schema.Row{
+			schema.Int(int64(i % 20)), schema.Int(int64(i)), schema.Float(20), schema.Float(float64(i % 100)),
+			schema.Float(90), schema.String("ok"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := st.Create(schema.NewRelation("s",
+		schema.Col("sensor", schema.TypeInt),
+		schema.Col("room", schema.TypeString),
+		schema.Col("floor", schema.TypeInt),
+	))
+	for i := 0; i < 20; i++ {
+		if err := s.Append(schema.Row{schema.Int(int64(i)), schema.String(fmt.Sprintf("room-%d", i%4)), schema.Int(int64(i % 2))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// allowAll is a policy whose ActionFilter module plainly allows the named
+// attributes.
+func allowAll(names ...string) *policy.Policy {
+	mod := &policy.Module{ID: "ActionFilter"}
+	for _, n := range names {
+		mod.Attributes = append(mod.Attributes, &policy.Attribute{Name: n, Allow: true})
+	}
+	return &policy.Policy{Modules: []*policy.Module{mod}}
+}
+
+// TestCompiledFragmentsAreOptimized: the fragment roots a compiled statement
+// executes have been through plan.Optimize — a join fragment's WHERE reaches
+// the probe scan's kernels and its zone-map hint, and both sides are pruned
+// to the columns the block reads — while everything the fragmenter and the
+// placement derived from the unoptimized cut (the rendered fragment query,
+// levels, estimates) is what it was.
+func TestCompiledFragmentsAreOptimized(t *testing.T) {
+	st := joinStore(t)
+	pol := allowAll("sensor", "t", "temp", "hum", "batt", "status", "room", "floor")
+	p := cachedProcessor(t, st, pol, nil)
+	mod, _ := pol.ModuleByID("ActionFilter")
+	const q = "SELECT s.room, COUNT(*) AS n, AVG(r.hum) AS avg_hum FROM r JOIN s ON r.sensor = s.sensor WHERE r.hum > 49.5 GROUP BY s.room"
+	sel, err := sqlparser.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := p.compileStatement(sel, mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same pipeline without the last step.
+	root, err := lowerPlan(pr.rewritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.report.Annotate(root, mod.ID)
+	plain, err := fragment.New().FromPlan(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.PlaceCostBased(p.statsSource())
+	if len(pr.plan.Fragments) != 1 || len(plain.Fragments) != 1 {
+		t.Fatalf("join statement compiled to %d fragments, want 1", len(pr.plan.Fragments))
+	}
+	got, want := pr.plan.Fragments[0], plain.Fragments[0]
+	if got.SQL() != want.SQL() || got.MinLevel != want.MinLevel || got.Level != want.Level ||
+		got.EstRows != want.EstRows || got.EstBytes != want.EstBytes || got.Description != want.Description {
+		t.Fatalf("optimizing the fragment root changed its description:\n got %+v\nwant %+v", got, want)
+	}
+	if !strings.Contains(got.SQL(), "WHERE") {
+		t.Fatalf("fragment query lost its WHERE: %s", got.SQL())
+	}
+
+	log := &scanLog{Store: st}
+	res, err := engine.New(log).SelectPlan(context.Background(), got.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := engine.New(st).SelectPlan(context.Background(), want.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Rows, ref.Rows) || len(res.Rows) != 4 {
+		t.Fatalf("optimized fragment returns %v, the fragmenter's cut %v", res.Rows, ref.Rows)
+	}
+	sameSet := func(got []int, want ...int) bool {
+		got = append([]int(nil), got...)
+		sort.Ints(got)
+		return reflect.DeepEqual(got, want)
+	}
+	probe := log.scans["r"]
+	if len(probe) != 1 || !sameSet(probe[0].Columns, 0, 3) {
+		t.Fatalf("probe scans of r = %+v, want one scan of the two columns sensor and hum", probe)
+	}
+	if len(probe[0].Predicate) != 1 || probe[0].Predicate[0].Op != schema.PredGt || probe[0].Predicate[0].Col != 3 {
+		t.Fatalf("probe scan predicate = %+v, want hum > 49.5", probe[0].Predicate)
+	}
+	build := log.scans["s"]
+	if len(build) != 1 || !sameSet(build[0].Columns, 0, 1) {
+		t.Fatalf("build scans of s = %+v, want one scan of the two columns sensor and room", build)
+	}
+
+	// The fragmenter's own cut asks for every column and no predicate.
+	log = &scanLog{Store: st}
+	if _, err := engine.New(log).SelectPlan(context.Background(), want.Root); err != nil {
+		t.Fatal(err)
+	}
+	if sc := log.scans["r"][0]; sc.Columns != nil || sc.Predicate != nil {
+		t.Fatalf("unoptimized probe scan = %+v, want full width and no predicate (is the test still telling the two apart?)", sc)
 	}
 }

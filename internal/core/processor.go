@@ -618,8 +618,9 @@ func (p *Processor) ProcessPipeline(ctx context.Context, pl recognition.Node, mo
 
 // Explain renders the EXPLAIN view of the processed query: the optimized
 // logical plan of the rewritten statement (policy transformations appear as
-// operator provenance lines) followed by the per-fragment plan trees and
-// their placement levels.
+// operator provenance lines) followed by the per-fragment plan trees, their
+// placement levels and — once executed — whether each stage shipped column
+// batches or rows (and why the engine declined).
 func (o *Outcome) Explain() string {
 	var b strings.Builder
 	b.WriteString("logical plan (rewritten, optimized):\n")
@@ -630,7 +631,13 @@ func (o *Outcome) Explain() string {
 	}
 	b.WriteString("fragment plans (placement):\n")
 	if o.Plan != nil {
-		b.WriteString(o.Plan.Explain())
+		var paths []string
+		if o.Net != nil {
+			for _, a := range o.Net.Assignments {
+				paths = append(paths, a.Path())
+			}
+		}
+		b.WriteString(o.Plan.Explain(paths...))
 	}
 	return b.String()
 }

@@ -8,7 +8,10 @@
 // plan.FromAST and rewritten by plan.Optimize) block by block — the block
 // decomposition and the column-requirement analysis behind scan pushdown
 // both come from plan.Block, never re-derived here. Each block compiles
-// once (Engine.openBlock) into a segment: a morsel source plus the stages
+// once (Engine.openBlock), kernel first: a single-table block over a
+// columnar source is offered to the whole-block kernels before the worker
+// count is looked at (see the last paragraph); everything else compiles
+// into a segment: a morsel source plus the stages
 // that run on every morsel — scan filter and projection, residual filters,
 // join probes, the select list, DISTINCT and GROUP BY key computation. A
 // driver (parallel.go) pulls the segment with the block's worker count;
@@ -20,9 +23,10 @@
 // carry pruned column sets and pushed predicates into the source's scans,
 // so unused columns never leave storage.
 //
-// The worker count is one number per block: WithParallelism(n), or 1 for a
-// block with a streaming LIMIT (so its O(limit + batch) storage-read
-// guarantee holds). With n > 1, workers pull sequence-numbered morsels from
+// The worker count is one number per segment: WithParallelism(n), or 1 for
+// a block with a streaming LIMIT (so its O(limit + batch) storage-read
+// guarantee holds); a block a whole-block kernel accepted has no segment
+// and runs on the consumer's goroutine. With n > 1, workers pull sequence-numbered morsels from
 // a shared cursor and an order-preserving exchange re-emits their output in
 // morsel order; GROUP BY folds groups in parallel and hash-join builds are
 // hash-partitioned across workers. With one worker the exchange is elided:
@@ -37,9 +41,15 @@
 // kernels over typed vectors refining a selection vector (vecscan.go, with
 // the non-kernelizable suffix evaluated row-at-a-time on pivoted
 // survivors), pure equi-joins probe and gather by selection vector
-// (vecjoin.go), and — when a single-table block runs with one worker —
-// numeric projections, simple DISTINCT and GROUP BY blocks skip the row
-// stages entirely (vecproject.go, vecblock.go, vecgroup.go). Every
+// (vecjoin.go), and single-table blocks — at any worker count — run whole
+// on kernels where one fits: numeric projections, simple DISTINCT and
+// GROUP BY (vecproject.go, vecblock.go, vecgroup.go). A block that is
+// nothing but scan, filters and a select list of stars and plain columns
+// has nothing to evaluate per row: its iterator (vecPassIter) also
+// implements schema.ColIterator and hands on the scan's vectors re-sliced
+// plus the surviving selection, which is how fragment stages exchange data
+// without pivoting. OpenStage is Open plus the reason (Decline*) a block's
+// output is rows instead. Every
 // vectorized path is an internal fast path pinned bit-identical to the row
 // stages — same rows, order, and error text — and declines to them whenever
 // exact semantics would be at risk (windows, sorts, boxed vectors,

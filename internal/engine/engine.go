@@ -134,14 +134,25 @@ func (e *Engine) OpenSelect(ctx context.Context, sel *sqlparser.Select) (*schema
 // batch (including inside pipeline breakers, which drain their input
 // through the same ctx-bound scans).
 func (e *Engine) Open(ctx context.Context, root plan.Node) (*schema.Relation, schema.RowIterator, error) {
+	rel, it, _, err := e.openBlock(ctx, root)
+	return rel, it, err
+}
+
+// OpenStage is Open for a consumer that can take column batches — the
+// fragment chain, whose stages exchange them. A block that compiled to
+// kernels only returns an iterator that also implements schema.ColIterator
+// and an empty decline; every other block returns the Decline* reason that
+// keeps its output row-major.
+func (e *Engine) OpenStage(ctx context.Context, root plan.Node) (rel *schema.Relation, it schema.RowIterator, decline string, err error) {
 	return e.openBlock(ctx, root)
 }
 
 // openBlock compiles one query block (plan.SplitBlock — the single owner of
 // the block-shape rule) into its output schema and iterator. Every block
-// compiles once, into a segment (parallel.go); the only execution choice is
-// how many workers drive it.
-func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation, schema.RowIterator, error) {
+// compiles once: onto a whole-block kernel when one accepts it (vecblock.go),
+// else into a segment (parallel.go) driven by the block's worker count. The
+// third result is OpenStage's decline.
+func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation, schema.RowIterator, string, error) {
 	blk, src := plan.SplitBlock(top)
 
 	// A streaming LIMIT (no breaker below it) runs with one worker: its
@@ -153,19 +164,23 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 		workers = 1
 	}
 
-	if s, ok := src.(*plan.Scan); ok && workers == 1 {
-		rel, it, ok, err := e.openVecBlock(ctx, s, blk)
-		if err != nil {
-			return nil, nil, err
+	var decline string
+	switch s := src.(type) {
+	case *plan.Scan:
+		rel, it, why, err := e.openVecBlock(ctx, s, blk)
+		if err != nil || it != nil {
+			return rel, it, why, err
 		}
-		if ok {
-			return rel, it, nil
-		}
+		decline = why
+	case *plan.Join:
+		decline = DeclineJoin
+	default:
+		decline = DeclineDerived
 	}
 
 	seg, err := e.openSegment(ctx, src, blk, workers)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, "", err
 	}
 
 	if blk.Agg != nil || blk.Win != nil || blk.Sort != nil {
@@ -177,15 +192,15 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 			rel, rows, err = e.evalBroken(blk, seg.b, seg.iterator())
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, "", err
 		}
-		return rel, schema.WithContext(ctx, schema.IterateRows(rows, schema.DefaultBatchSize)), nil
+		return rel, schema.WithContext(ctx, schema.IterateRows(rows, schema.DefaultBatchSize)), decline, nil
 	}
 
 	p, err := buildProjector(blk.Items(), seg.b)
 	if err != nil {
 		seg.close()
-		return nil, nil, err
+		return nil, nil, "", err
 	}
 	if !p.identity {
 		// An all-plain-column projection directly over a vectorized join
@@ -220,7 +235,7 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 	// check ctx inside their scans, but this guarantees cancellation for
 	// any Source implementation (overlays, fan-in shards, adapters) and
 	// for a cancellation error overtaken inside the exchange.
-	return p.rel, schema.WithContext(ctx, out), nil
+	return p.rel, schema.WithContext(ctx, out), decline, nil
 }
 
 // openSegment compiles a block's source node into a segment and applies the
@@ -257,7 +272,7 @@ func (e *Engine) openSubBlock(ctx context.Context, n plan.Node, workers int) (*p
 	if d, ok := n.(*plan.Derived); ok {
 		n, alias = d.Input, d.Alias
 	}
-	rel, it, err := e.openBlock(ctx, n)
+	rel, it, _, err := e.openBlock(ctx, n)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"paradise/internal/plan"
 	"paradise/internal/schema"
 	"paradise/internal/sqlparser"
 	"paradise/internal/storage"
@@ -229,5 +230,54 @@ func TestPipelineCloseIdempotent(t *testing.T) {
 	it.Close()
 	if b, err := it.Next(); b != nil || err != nil {
 		t.Fatalf("Next after double Close = %v, %v; want nil, nil", b, err)
+	}
+}
+
+// TestBreakerDrainSizeHint: the iterator a breaker drains over an unfiltered
+// columnar scan knows its exact remaining row count — before the first pull
+// and after each — so DrainIterator sizes its buffer once; a scan that
+// filters gives no hint. 10 000 rows seal into segments, so the hint also
+// crosses segment-aligned morsel boundaries.
+func TestBreakerDrainSizeHint(t *testing.T) {
+	const n = 10_000
+	eng := New(benchStore(t, n))
+	ctx := context.Background()
+
+	seg, err := eng.openScanSeg(ctx, &plan.Scan{Table: "d"}, &plan.Block{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := seg.iterator()
+	defer it.Close()
+	left := n
+	for {
+		if got := it.(schema.SizeHinter).SizeHint(); got != left {
+			t.Fatalf("hint %d with %d rows left", got, left)
+		}
+		b, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		left -= len(b)
+	}
+	if left != 0 {
+		t.Fatalf("%d rows never arrived", left)
+	}
+
+	pred, err := sqlparser.ParseExpr("z < 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err = eng.openScanSeg(ctx, &plan.Scan{Table: "d", Predicate: pred}, &plan.Block{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filtered := seg.iterator()
+	defer filtered.Close()
+	if got := filtered.(schema.SizeHinter).SizeHint(); got != 0 {
+		t.Fatalf("a filtering scan hints %d rows, want no hint", got)
 	}
 }

@@ -161,6 +161,18 @@ func (o *ownedMorselIter) Close() {
 	o.ms.Close()
 }
 
+// SizeHint forwards the source's remaining-row bound to a breaker's drain.
+func (o *ownedMorselIter) SizeHint() int { return morselHint(o.ms) }
+
+// morselHint is a morsel source's remaining row count, 0 when it cannot say
+// (it filters, or its rows come from an iterator without a hint).
+func morselHint(ms schema.MorselSource) int {
+	if h, ok := ms.(schema.SizeHinter); ok {
+		return h.SizeHint()
+	}
+	return 0
+}
+
 // soleMorsels serves an iterator to the one-worker driver with neither lock
 // nor header copy: the single puller is done with a batch before it pulls
 // the next, which is all the iterator contract asks.
@@ -875,6 +887,10 @@ func collectGroups(x *exchange, single bool) ([]*group, error) {
 	var order []*group
 	if single {
 		order = []*group{{}}
+		if len(x.mk) == 0 {
+			// No stage drops rows: the one group holds the whole source.
+			order[0].rows = make(schema.Rows, 0, morselHint(x.src))
+		}
 	}
 	for {
 		p, ok := x.nextParcel()

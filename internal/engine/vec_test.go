@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"paradise/internal/plan"
 	"paradise/internal/schema"
+	"paradise/internal/sqlparser"
 	"paradise/internal/storage"
 )
 
@@ -108,6 +110,13 @@ func checkEquivalenceEngine(t *testing.T, veng *Engine, st *storage.Store, sql s
 	ctx := context.Background()
 	vres, verr := veng.Query(ctx, sql)
 	rres, rerr := New(rowOnly{st}).Query(ctx, sql)
+	requireSameResult(t, sql, vres, verr, rres, rerr)
+}
+
+// requireSameResult compares a vectorized outcome with the row path's:
+// identical error text, or identical schemas and rows in order.
+func requireSameResult(t *testing.T, sql string, vres *Result, verr error, rres *Result, rerr error) {
+	t.Helper()
 	if (verr == nil) != (rerr == nil) {
 		t.Fatalf("%q: error mismatch: vectorized=%v row=%v", sql, verr, rerr)
 	}
@@ -322,6 +331,119 @@ func TestVectorizedMatchesRowPathFuzz(t *testing.T) {
 		}
 		for _, q := range queries {
 			checkEquivalence(t, st, q)
+		}
+	}
+}
+
+// TestColumnarFaceMatchesRowPath drains every block of the corpus that
+// OpenStage serves as column batches through NextBatch — the face a fragment
+// chain's next stage pulls — and requires the pivot of those batches to be
+// the row path's result, and their accounted wire size the rows'. Engine.Query
+// above only ever pulls the row face. The corpus holds filters that reject a
+// whole batch: an empty selection must not read as "all rows".
+func TestColumnarFaceMatchesRowPath(t *testing.T) {
+	columnar := 0
+	for _, st := range []*storage.Store{vecStore(t, false), vecStore(t, true)} {
+		for _, q := range equivalenceQueries {
+			sel, err := sqlparser.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := New(st)
+			root, err := plan.FromAST(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root = plan.Optimize(root, plan.Options{Catalog: eng.Catalog(), CrossBlock: true})
+			rel, it, decline, err := eng.OpenStage(context.Background(), root)
+			if err != nil {
+				continue // error cases are TestVectorizedMatchesRowPath's
+			}
+			ci, ok := it.(schema.ColIterator)
+			if ok != (decline == "") {
+				t.Fatalf("%q: ColIterator=%v but decline=%q", q, ok, decline)
+			}
+			if !ok {
+				it.Close()
+				continue
+			}
+			columnar++
+			vres := &Result{Schema: rel}
+			var verr error
+			bytes := 0
+			for {
+				cb, err := ci.NextBatch()
+				if err != nil {
+					verr = err
+					break
+				}
+				if cb == nil {
+					break
+				}
+				if cb.Len() == 0 {
+					t.Fatalf("%q: empty batch handed on", q)
+				}
+				bytes += cb.WireSize()
+				vres.Rows = append(vres.Rows, cb.Rows()...)
+			}
+			ci.Close()
+			rres, rerr := New(rowOnly{st}).Query(context.Background(), q)
+			requireSameResult(t, q, vres, verr, rres, rerr)
+			if verr == nil && bytes != rres.WireSize() {
+				t.Fatalf("%q: batches weigh %d bytes, rows %d", q, bytes, rres.WireSize())
+			}
+		}
+	}
+	if columnar == 0 {
+		t.Fatal("no block of the corpus was served as column batches")
+	}
+}
+
+// TestOpenStageDeclineReasons pins the reason OpenStage reports for every
+// shape that keeps a block's output row-major, and that exactly the blocks
+// without a reason serve column batches.
+func TestOpenStageDeclineReasons(t *testing.T) {
+	st := vecStore(t, false)
+	cases := []struct {
+		src  Source
+		sql  string
+		want string
+	}{
+		{st, "SELECT * FROM v", ""},
+		{st, "SELECT s, i FROM v WHERE f < 2 AND i + 1 > 0", ""}, // kernels and a row residual
+		{st, "SELECT s AS label FROM v", ""},
+		{st, "SELECT s, COUNT(*) AS n FROM v GROUP BY s", DeclineBreaker},
+		{st, "SELECT s, COUNT(*) AS n FROM v GROUP BY i % 2, s", DeclineBreaker}, // the vectorized GROUP BY declines too
+		{st, "SELECT i FROM v ORDER BY i", DeclineBreaker},
+		{st, "SELECT i, row_number() OVER (ORDER BY i) AS rn FROM v", DeclineBreaker},
+		{st, "SELECT DISTINCT s FROM v", DeclineDistinct},
+		{st, "SELECT i, s FROM v LIMIT 3", DeclineLimit},
+		{st, "SELECT v.i, w.t FROM v JOIN w ON v.i = w.k", DeclineJoin},
+		{st, "SELECT i + 1 AS a FROM v", DeclineProjection},                               // vectorized arithmetic, rows out
+		{st, "SELECT CASE WHEN i > 1 THEN s ELSE 'x' END AS c FROM v", DeclineProjection}, // no kernel at all
+		{st, "SELECT i FROM (SELECT i, s FROM v LIMIT 5) AS d", DeclineDerived},
+		{rowOnly{st}, "SELECT * FROM v", DeclineRowSource},
+		{rowOnly{st}, "SELECT s, COUNT(*) AS n FROM v GROUP BY s", DeclineRowSource},
+	}
+	for _, c := range cases {
+		sel, err := sqlparser.Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := plan.FromAST(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			_, it, got, err := New(c.src).WithParallelism(workers).OpenStage(context.Background(), root)
+			if err != nil {
+				t.Fatalf("%q: %v", c.sql, err)
+			}
+			_, columnar := it.(schema.ColIterator)
+			it.Close()
+			if got != c.want || columnar != (c.want == "") {
+				t.Errorf("%q at %d workers: decline %q (columnar=%v), want %q", c.sql, workers, got, columnar, c.want)
+			}
 		}
 	}
 }

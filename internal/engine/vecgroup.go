@@ -94,38 +94,38 @@ func compileVecGrouped(p *vecScanPlan, blk *plan.Block) (*vecGroupPlan, bool) {
 }
 
 // openVecGrouped runs a grouped single-table block on the columnar scan.
-func (e *Engine) openVecGrouped(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, bool, error) {
+func (e *Engine) openVecGrouped(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, error) {
 	if blk.Win != nil {
-		return nil, nil, false, nil
+		return nil, nil, nil
 	}
 	p, rel, ok := e.vecBlockScan(s, blk)
 	if !ok {
-		return nil, nil, false, nil
+		return nil, nil, nil
 	}
 	gp, ok := compileVecGrouped(p, blk)
 	if !ok {
-		return nil, nil, false, nil
+		return nil, nil, nil
 	}
 
 	ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	defer ci.Close()
 	groups, err := gp.drain(ci, newVecExec(p))
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 
 	out, err := gp.finish(blk, groups)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	orel, rows, err := e.finishBroken(blk, p.lb, out, nil)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	return orel, schema.WithContext(ctx, schema.IterateRows(rows, schema.DefaultBatchSize)), true, nil
+	return orel, schema.WithContext(ctx, schema.IterateRows(rows, schema.DefaultBatchSize)), nil
 }
 
 // drain consumes the columnar scan, building groups in first-seen order and

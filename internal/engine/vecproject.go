@@ -382,17 +382,19 @@ type projItem struct {
 	node pnode
 }
 
-// openVecProject compiles a plain single-table SELECT whose expression items
-// are all vectorizable. Declines when every item is a pass-through (the scan
-// paths already handle pure column projection).
-func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, bool, error) {
+// openVecProject compiles a plain single-table SELECT — no breaker, no
+// DISTINCT. A select list of stars and plain columns needs no evaluation at
+// all and is served as column batches (vecPassIter, vecblock.go); expression
+// items must all vectorize, and their results leave as rows. The contract is
+// openVecBlock's.
+func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, string, error) {
 	p, rel, ok := e.vecBlockScan(s, blk)
 	if !ok {
-		return nil, nil, false, nil
+		return nil, nil, DeclineProjection, nil
 	}
 	proj, err := buildProjector(blk.Items(), p.lb)
 	if err != nil {
-		return nil, nil, false, nil // row path reports the projection error
+		return nil, nil, DeclineProjection, nil // row path reports the projection error
 	}
 	items := make([]projItem, len(proj.cols))
 	var refs []int
@@ -404,18 +406,23 @@ func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan
 		}
 		node, _, ok := compilePExpr(c.expr, p.lb, p.lrel, &refs)
 		if !ok {
-			return nil, nil, false, nil
+			return nil, nil, DeclineProjection, nil
 		}
 		items[i] = projItem{pass: -1, node: node}
 		exprs++
 	}
-	if exprs == 0 {
-		return nil, nil, false, nil
+	if exprs == 0 && blk.Limit != nil {
+		// The segment path owns the streaming LIMIT of a bare scan: it pushes
+		// the limit into the scan's batch size.
+		return nil, nil, DeclineLimit, nil
 	}
 
 	ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, "", err
+	}
+	if exprs == 0 {
+		return proj.rel, newVecPassIter(ctx, ci, p, proj), "", nil
 	}
 	var out schema.RowIterator = &vecProjIter{
 		src:     ci,
@@ -434,7 +441,7 @@ func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan
 		}
 		out = &limitIter{src: out, remaining: n}
 	}
-	return proj.rel, schema.WithContext(ctx, out), true, nil
+	return proj.rel, schema.WithContext(ctx, out), DeclineProjection, nil
 }
 
 // vecProjIter filters each batch with the compiled kernels, evaluates the

@@ -146,9 +146,13 @@ type vecExec struct {
 	env  *rowEnv
 }
 
+// filters reports whether the plan drops rows at all; without it a batch's
+// selection (and its row count) passes through untouched.
+func (p *vecScanPlan) filters() bool { return len(p.kernels) > 0 || p.residual != nil }
+
 func newVecExec(p *vecScanPlan) *vecExec {
-	if len(p.kernels) == 0 && p.residual == nil {
-		return &vecExec{p: p} // filterSel passes selections through untouched
+	if !p.filters() {
+		return &vecExec{p: p}
 	}
 	x := &vecExec{p: p, env: (&rowEnv{b: p.lb}).reuse()}
 	// The scratch selections start non-nil: a computed selection that ends
@@ -169,7 +173,7 @@ func newVecExec(p *vecScanPlan) *vecExec {
 // error, exactly like the row scan, whose filter aborts mid-batch.
 func (x *vecExec) filterSel(cb *schema.ColBatch) ([]int, error) {
 	p := x.p
-	if len(p.kernels) == 0 && p.residual == nil {
+	if !p.filters() {
 		return cb.Sel, nil
 	}
 	in, out := &x.a, &x.b
@@ -291,3 +295,12 @@ func (v *vecMorsels) NextMorsel() (schema.Morsel, error) {
 }
 
 func (v *vecMorsels) Close() { v.src.Close() }
+
+// SizeHint forwards the source's remaining row count when nothing filters,
+// so a breaker draining the segment pre-sizes its buffer once.
+func (v *vecMorsels) SizeHint() int {
+	if h, ok := v.src.(schema.SizeHinter); ok && !v.p.filters() {
+		return h.SizeHint()
+	}
+	return 0
+}

@@ -17,10 +17,18 @@
 // this package only decides placement levels and conjunct partitioning).
 //
 // Execution side (execute.go): OpenChain wires a plan's fragments into one
-// lazy batch pipeline — each stage's output iterator feeds the next
-// stage's scan — with per-stage row/byte accounting that is finalized by
-// draining on Close, so stats match the fully materialized baseline even
-// when the consumer stops early. WithParallelism lets each stage's engine
-// pipeline run morsel-parallel; batch sums are order-independent, so the
-// accounting stays bit-identical to serial execution.
+// lazy batch pipeline — each stage's output feeds the next stage's scan —
+// with per-stage row/byte accounting that is finalized by draining on
+// Close, so stats match the fully materialized baseline even when the
+// consumer stops early. A stage whose block compiled to kernels only
+// (engine.OpenStage) ships schema.ColBatches, and the next stage reads
+// them through an engine.ColScanner (colstage.go), so its kernels run on
+// the upstream vectors and only the stage that finally needs rows pivots;
+// any other stage ships rows. A batch weighs exactly what its rows weigh
+// (ColBatch.WireSize), so the representation never shows in the
+// accounting; StageResult records which one a stage used, and why.
+// WithParallelism lets each stage's engine pipeline run morsel-parallel
+// where no whole-block kernel took the stage; batch sums are
+// order-independent, so the accounting stays bit-identical to serial
+// execution.
 package fragment

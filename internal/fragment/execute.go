@@ -10,11 +10,26 @@ import (
 )
 
 // StageResult records one executed fragment for accounting: the rows it
-// produced and their simulated wire size (what ships to the next node).
+// produced and their simulated wire size (what ships to the next node), and
+// in which representation they left the stage.
 type StageResult struct {
 	Fragment *Fragment
 	Rows     int
 	Bytes    int
+	// Columnar is true when the stage's block compiled to kernels only and
+	// its output crossed the boundary as column batches; otherwise Declined
+	// holds the engine's reason (engine.Decline*) for handing on rows.
+	Columnar bool
+	Declined string
+}
+
+// Path renders the stage's output representation for the stats trailer and
+// -explain: "columnar", or "rows: <why the block declined>".
+func (r StageResult) Path() string {
+	if r.Columnar {
+		return "columnar"
+	}
+	return "rows: " + r.Declined
 }
 
 // Execution is the outcome of running a whole plan.
@@ -54,13 +69,21 @@ func wrapStage(f *Fragment, err error) error {
 // whole output up the chain regardless of how much the consumer reads, so
 // per-stage stats match the fully materialized baseline exactly even when a
 // later stage stops early (LIMIT).
+//
+// A stage whose block compiled to kernels only also serves column batches
+// (col, the same pipeline as src; nextBatch in colstage.go). Both faces
+// advance one stream and feed one pair of counters, and a batch's wire size
+// is its rows' by construction, so which face a consumer pulls never shows
+// in the accounting.
 type stageIter struct {
-	src    schema.RowIterator
-	f      *Fragment
-	rows   int
-	bytes  int
-	closed bool
-	err    error // runtime error surfaced while draining on Close
+	src     schema.RowIterator
+	col     schema.ColIterator // src's columnar face; nil when the block declined
+	decline string             // why col is nil (engine.Decline*)
+	f       *Fragment
+	rows    int
+	bytes   int
+	closed  bool
+	err     error // runtime error surfaced while draining on Close
 }
 
 func (s *stageIter) Next() (schema.Rows, error) {
@@ -79,20 +102,29 @@ func (s *stageIter) Close() {
 	}
 	s.closed = true
 	for {
-		batch, err := s.src.Next()
+		more, err := s.skip()
 		if err != nil {
 			// The baseline would have evaluated this row and failed the
 			// whole execution: record the error for Execute to surface.
-			s.err = wrapStage(s.f, err)
+			s.err = err
 			break
 		}
-		if batch == nil {
+		if !more {
 			break
 		}
-		s.rows += len(batch)
-		s.bytes += batch.WireSize()
 	}
 	s.src.Close()
+}
+
+// skip accounts one more batch without handing it to anyone — as column
+// batches when the stage has them, which costs no pivot.
+func (s *stageIter) skip() (more bool, err error) {
+	if s.col != nil {
+		cb, err := s.nextBatch()
+		return cb != nil, err
+	}
+	batch, err := s.Next()
+	return batch != nil, err
 }
 
 // stageSource exposes the previous stage's output iterator under its
@@ -158,11 +190,13 @@ type execConfig struct{ par int }
 
 // WithParallelism sets the number of worker goroutines each stage's engine
 // pipeline may use (morsel-driven, see the engine package): n <= 0 means
-// runtime.GOMAXPROCS(0), 1 (the default) keeps execution serial. Stage
-// outputs feed the next stage's workers through a shared morsel cursor, so
-// the per-stage row/byte accounting accrues under that cursor's lock —
-// batch sums are order-independent, making a parallel chain's accounting
-// bit-identical to the serial chain's.
+// runtime.GOMAXPROCS(0), 1 (the default) keeps execution serial. A stage
+// output feeds the next stage's workers through a shared morsel cursor
+// (schema.ShareColIterator for column batches, schema.ShareIterator for
+// rows), so the per-stage row/byte accounting accrues under that cursor's
+// lock — batch sums are order-independent, making a parallel chain's
+// accounting bit-identical to the serial chain's. A stage the engine's
+// whole-block kernels accept runs on them whatever n is.
 func WithParallelism(n int) Option {
 	return func(c *execConfig) { c.par = n }
 }
@@ -197,7 +231,7 @@ func OpenChain(ctx context.Context, plan *Plan, base engine.Source, opts ...Opti
 	stages := make([]*stageIter, 0, len(plan.Fragments))
 	var rel *schema.Relation
 	for _, f := range plan.Fragments {
-		stageRel, it, err := engine.New(src).WithParallelism(cfg.par).Open(ctx, f.Root)
+		stageRel, it, decline, err := engine.New(src).WithParallelism(cfg.par).OpenStage(ctx, f.Root)
 		if err != nil {
 			// Abandon the chain. Open's own cleanup may already have
 			// closed (and thereby drained) upstream stages; the stats are
@@ -208,9 +242,16 @@ func OpenChain(ctx context.Context, plan *Plan, base engine.Source, opts ...Opti
 			return nil, wrapStage(f, err)
 		}
 		rel = stageRel.Clone(f.Output)
-		st := &stageIter{src: it, f: f}
+		st := &stageIter{src: it, f: f, decline: decline}
+		st.col, _ = it.(schema.ColIterator)
 		stages = append(stages, st)
-		src = &stageSource{base: base, name: f.Output, rel: rel, it: st}
+		out := &stageSource{base: base, name: f.Output, rel: rel, it: st}
+		src = out
+		// A columnar stage implies a columnar base (its own first scan ran
+		// on one), so the next stage's kernels can run on both.
+		if cbase, ok := base.(engine.ColScanner); ok && st.col != nil {
+			src = &colStageSource{stageSource: out, cbase: cbase}
+		}
 	}
 	return &Chain{rel: rel, stages: stages}, nil
 }
@@ -248,7 +289,8 @@ func (c *Chain) Close() error {
 func (c *Chain) Stages() []StageResult {
 	out := make([]StageResult, len(c.stages))
 	for i, st := range c.stages {
-		out[i] = StageResult{Fragment: st.f, Rows: st.rows, Bytes: st.bytes}
+		out[i] = StageResult{Fragment: st.f, Rows: st.rows, Bytes: st.bytes,
+			Columnar: st.col != nil, Declined: st.decline}
 	}
 	return out
 }

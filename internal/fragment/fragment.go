@@ -100,15 +100,20 @@ func (p *Plan) String() string {
 
 // Explain renders every fragment's logical plan tree, for -explain output,
 // with the placement decision and modeled output size when available.
-func (p *Plan) Explain() string {
+// paths, when the plan has run, is each stage's StageResult.Path — how its
+// output crossed the stage boundary — appended to the stage's heading.
+func (p *Plan) Explain(paths ...string) string {
 	var b strings.Builder
-	for _, f := range p.Fragments {
+	for i, f := range p.Fragments {
 		fmt.Fprintf(&b, "Q%d @ %s — %s (reads %s, emits %s)", f.Stage, f.MinLevel, f.Description, f.Input, f.Output)
 		if f.Level > f.MinLevel {
 			fmt.Fprintf(&b, " [placed %s]", f.Level)
 		}
 		if f.EstRows > 0 || f.EstBytes > 0 {
 			fmt.Fprintf(&b, " [est %d rows / %d bytes]", f.EstRows, f.EstBytes)
+		}
+		if i < len(paths) && paths[i] != "" {
+			fmt.Fprintf(&b, " [ships %s]", paths[i])
 		}
 		b.WriteByte('\n')
 		for _, line := range strings.Split(strings.TrimRight(logical.String(f.Root), "\n"), "\n") {

@@ -160,30 +160,33 @@ func TestPaperUseCaseFragmentation(t *testing.T) {
 	}
 }
 
+// equivalenceCorpus is the fixed set of statements every chain-equivalence
+// suite runs: each fragment shape the fragmenter produces, over testStore.
+var equivalenceCorpus = []string{
+	"SELECT * FROM d",
+	"SELECT * FROM d WHERE z < 2",
+	"SELECT x, y FROM d WHERE x > y",
+	"SELECT x, y FROM d WHERE x > y AND z < 2",
+	"SELECT x, y, AVG(z) AS zavg FROM d WHERE x > y AND z < 2 GROUP BY x, y HAVING SUM(z) > 1",
+	"SELECT x + y AS s, z FROM d WHERE z < 1.5",
+	"SELECT COUNT(*) FROM d",
+	"SELECT x, COUNT(*) AS n FROM d GROUP BY x",
+	"SELECT s FROM (SELECT x + y AS s FROM d WHERE z < 2) WHERE s > 8",
+	"SELECT AVG(s) FROM (SELECT x + y AS s, z FROM d) WHERE z < 2",
+	"SELECT x, y FROM d WHERE x > y ORDER BY x DESC LIMIT 3",
+	"SELECT DISTINCT x FROM d WHERE z < 2",
+	"SELECT zavg FROM (SELECT x, y, AVG(z) AS zavg FROM d GROUP BY x, y) WHERE zavg > 1",
+	"SELECT regr_intercept(y, x) OVER (PARTITION BY zavg ORDER BY t) FROM (SELECT x, y, AVG(z) AS zavg, t FROM d WHERE x > y AND z < 2 GROUP BY x, y HAVING SUM(z) > 0.5)",
+	"SELECT MIN(t), MAX(t) FROM d WHERE z < 2",
+	// ORDER BY on an output alias must not leak into the projection
+	// stage (regression: the meeting-room power-socket query).
+	"SELECT x, MAX(z) AS peak FROM d GROUP BY x ORDER BY peak DESC LIMIT 3",
+	"SELECT x, AVG(z) AS za FROM d WHERE z < 2 GROUP BY x ORDER BY za, x",
+}
+
 func TestFragmentEquivalence(t *testing.T) {
 	st := testStore(t)
-	queries := []string{
-		"SELECT * FROM d",
-		"SELECT * FROM d WHERE z < 2",
-		"SELECT x, y FROM d WHERE x > y",
-		"SELECT x, y FROM d WHERE x > y AND z < 2",
-		"SELECT x, y, AVG(z) AS zavg FROM d WHERE x > y AND z < 2 GROUP BY x, y HAVING SUM(z) > 1",
-		"SELECT x + y AS s, z FROM d WHERE z < 1.5",
-		"SELECT COUNT(*) FROM d",
-		"SELECT x, COUNT(*) AS n FROM d GROUP BY x",
-		"SELECT s FROM (SELECT x + y AS s FROM d WHERE z < 2) WHERE s > 8",
-		"SELECT AVG(s) FROM (SELECT x + y AS s, z FROM d) WHERE z < 2",
-		"SELECT x, y FROM d WHERE x > y ORDER BY x DESC LIMIT 3",
-		"SELECT DISTINCT x FROM d WHERE z < 2",
-		"SELECT zavg FROM (SELECT x, y, AVG(z) AS zavg FROM d GROUP BY x, y) WHERE zavg > 1",
-		"SELECT regr_intercept(y, x) OVER (PARTITION BY zavg ORDER BY t) FROM (SELECT x, y, AVG(z) AS zavg, t FROM d WHERE x > y AND z < 2 GROUP BY x, y HAVING SUM(z) > 0.5)",
-		"SELECT MIN(t), MAX(t) FROM d WHERE z < 2",
-		// ORDER BY on an output alias must not leak into the projection
-		// stage (regression: the meeting-room power-socket query).
-		"SELECT x, MAX(z) AS peak FROM d GROUP BY x ORDER BY peak DESC LIMIT 3",
-		"SELECT x, AVG(z) AS za FROM d WHERE z < 2 GROUP BY x ORDER BY za, x",
-	}
-	for _, q := range queries {
+	for _, q := range equivalenceCorpus {
 		t.Run(q, func(t *testing.T) { equivalent(t, st, q) })
 	}
 }

@@ -138,6 +138,20 @@ type Assignment struct {
 	// FellBack is set when the §3.2 weak-node fallback forwarded raw data
 	// past the intended node.
 	FellBack bool
+	// Columnar and Declined say in which representation the output left the
+	// stage (fragment.StageResult): column batches, or rows and why the
+	// engine declined. Both are zero for RunFanIn's materialized stages.
+	Columnar bool
+	Declined string
+}
+
+// Path renders Columnar/Declined as "columnar" or "rows: <reason>"; "" when
+// the stage did not run on the chain.
+func (a Assignment) Path() string {
+	if !a.Columnar && a.Declined == "" {
+		return ""
+	}
+	return fragment.StageResult{Columnar: a.Columnar, Declined: a.Declined}.Path()
 }
 
 // RunStats is the outcome of a simulated execution.
@@ -383,6 +397,7 @@ func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResu
 			Fragment: f, Node: node, InRows: inRows,
 			OutRows: stages[i].Rows, OutBytes: stages[i].Bytes,
 			FellBack: fellBack,
+			Columnar: stages[i].Columnar, Declined: stages[i].Declined,
 		})
 		prevRows, prevBytes = stages[i].Rows, stages[i].Bytes
 	}

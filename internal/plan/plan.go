@@ -255,6 +255,47 @@ func provOf(n Node) []Provenance {
 	return nil
 }
 
+// Clone deep-copies a plan tree: fresh operator nodes with cloned
+// expressions and copied provenance, sharing nothing mutable with the
+// original. Optimize rewrites in place and needs an owned tree; a tree that
+// shares subtrees with another (a fragment root and the plan it was cut from)
+// is cloned first.
+func Clone(n Node) Node {
+	prov := func(p []Provenance) []Provenance { return append([]Provenance(nil), p...) }
+	switch x := n.(type) {
+	case nil:
+		return nil
+	case *Scan:
+		out := &Scan{Table: x.Table, Alias: x.Alias, Predicate: sqlparser.CloneExpr(x.Predicate), Prov: prov(x.Prov)}
+		if x.Columns != nil { // empty is not nil: "no columns" is not "every column"
+			out.Columns = append([]string{}, x.Columns...)
+		}
+		return out
+	case *Values:
+		return &Values{}
+	case *Derived:
+		return &Derived{Input: Clone(x.Input), Alias: x.Alias}
+	case *Join:
+		return &Join{Type: x.Type, Left: Clone(x.Left), Right: Clone(x.Right), On: sqlparser.CloneExpr(x.On)}
+	case *Filter:
+		return &Filter{Input: Clone(x.Input), Cond: sqlparser.CloneExpr(x.Cond), Prov: prov(x.Prov)}
+	case *Project:
+		return &Project{Input: Clone(x.Input), Items: cloneItems(x.Items), Prov: prov(x.Prov)}
+	case *Aggregate:
+		return &Aggregate{Input: Clone(x.Input), GroupBy: cloneExprs(x.GroupBy), Items: cloneItems(x.Items),
+			Having: sqlparser.CloneExpr(x.Having), Prov: prov(x.Prov)}
+	case *Window:
+		return &Window{Input: Clone(x.Input), Items: cloneItems(x.Items)}
+	case *Distinct:
+		return &Distinct{Input: Clone(x.Input)}
+	case *Sort:
+		return &Sort{Input: Clone(x.Input), By: cloneOrder(x.By)}
+	case *Limit:
+		return &Limit{Input: Clone(x.Input), N: x.N}
+	}
+	panic(fmt.Sprintf("plan: Clone of unknown node %T", n))
+}
+
 // Walk visits n and every descendant, pre-order.
 func Walk(n Node, fn func(Node)) {
 	if n == nil {

@@ -323,3 +323,31 @@ func TestCrossBlockPushdownAmbiguousNames(t *testing.T) {
 		t.Fatalf("filter pushed through a block with duplicate output names:\n%s", plan.String(root))
 	}
 }
+
+// TestCloneIsDeep: a clone renders like its original, and optimizing it (in
+// place, as Optimize does) leaves the original exactly as it was — which is
+// what lets a fragment root that shares subtrees with its statement's plan
+// be optimized on its own.
+func TestCloneIsDeep(t *testing.T) {
+	for _, q := range []string{
+		"SELECT d.x, cells.label FROM d JOIN cells ON d.cell = cells.cell WHERE d.z < 2 AND 1 = 1",
+		"SELECT DISTINCT x FROM d WHERE z < 1 + 1 ORDER BY x LIMIT 3",
+		"SELECT cell, COUNT(*) AS n FROM (SELECT cell, z FROM d WHERE z < 2) AS s GROUP BY cell HAVING COUNT(*) > 1",
+		"SELECT x, AVG(z) OVER (PARTITION BY cell ORDER BY t) AS a FROM d",
+		"SELECT 1",
+	} {
+		orig := mustLower(t, q)
+		before := plan.String(orig)
+		clone := plan.Clone(orig)
+		if got := plan.String(clone); got != before {
+			t.Fatalf("%q: clone renders\n%s\nwant\n%s", q, got, before)
+		}
+		opt := plan.Optimize(clone, plan.Options{Catalog: testCatalog(), CrossBlock: true})
+		if plan.String(orig) != before {
+			t.Fatalf("%q: optimizing the clone changed the original:\n%s\nwas\n%s", q, plan.String(orig), before)
+		}
+		if strings.Contains(q, "WHERE") && plan.String(opt) == before {
+			t.Fatalf("%q: Optimize changed nothing, the test cannot tell a shared tree from a deep copy", q)
+		}
+	}
+}

@@ -456,6 +456,82 @@ func (b *ColBatch) Rows() Rows {
 	return out
 }
 
+// WireSize is the simulated serialized size of the live rows — byte for
+// byte Rows().WireSize(), computed from the vectors without pivoting: the
+// 2-byte row prefix per live row plus each column's share. Dense fixed-width
+// vectors cost O(1); NULL masks, strings and boxed vectors are walked once.
+func (b *ColBatch) WireSize() int {
+	n := 2 * b.Len()
+	for c := range b.Vecs {
+		n += b.Vecs[c].wireSize(b.N, b.Sel)
+	}
+	return n
+}
+
+// wireSize sums Value.WireSize over the vector's live elements: the first n
+// physical positions, or the positions sel lists.
+func (v *ColVec) wireSize(n int, sel []int) int {
+	live := n
+	if sel != nil {
+		live = len(sel)
+	}
+	if v.Box != nil {
+		size := 0
+		if sel == nil {
+			for _, val := range v.Box[:n] {
+				size += val.WireSize()
+			}
+		} else {
+			for _, i := range sel {
+				size += v.Box[i].WireSize()
+			}
+		}
+		return size
+	}
+	nulls := 0
+	if v.Nulls != nil {
+		if sel == nil {
+			for _, null := range v.Nulls[:n] {
+				if null {
+					nulls++
+				}
+			}
+		} else {
+			for _, i := range sel {
+				if v.Nulls[i] {
+					nulls++
+				}
+			}
+		}
+	}
+	// A NULL ships 1 byte whatever the column's type.
+	switch v.Typ {
+	case TypeBool:
+		return live
+	case TypeInt, TypeFloat, TypeTime:
+		return 8*(live-nulls) + nulls
+	case TypeString:
+		size := 2*(live-nulls) + nulls
+		masked := func(i int) bool { return nulls > 0 && v.Nulls[i] }
+		if sel == nil {
+			for i, s := range v.Strs[:n] {
+				if !masked(i) {
+					size += len(s)
+				}
+			}
+		} else {
+			for _, i := range sel {
+				if !masked(i) {
+					size += len(v.Strs[i])
+				}
+			}
+		}
+		return size
+	default:
+		return live
+	}
+}
+
 // RowAt pivots the single physical row i (ignoring Sel) into a fresh Row,
 // or returns the view row when one is attached.
 func (b *ColBatch) RowAt(i int) Row {

@@ -3,6 +3,7 @@ package schema
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -197,4 +198,77 @@ func TestColVecWindow(t *testing.T) {
 	if w.Value(1).AsInt() != 2 {
 		t.Fatalf("window element = %v, want 2", w.Value(1))
 	}
+}
+
+// TestBatchWireSizeMatchesRows is the accounting property the columnar stage
+// boundary rests on: a batch weighs exactly what its pivoted rows weigh —
+// over typed vectors, NULL masks, vectors degraded to boxed storage, refined
+// and empty selections, windows, and batches carrying a row view.
+func TestBatchWireSizeMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(20160315))
+	rel := pivotRel()
+	t0 := time.Date(2016, 3, 15, 12, 0, 0, 0, time.UTC)
+	words := []string{"", "a", "status-ok", "a\x00b", "längere Zeichenkette"}
+	randomRow := func(nulls, wrongType bool) Row {
+		r := Row{
+			Bool(rng.Intn(2) == 0),
+			Int(rng.Int63n(1000) - 500),
+			Float(rng.NormFloat64()),
+			String(words[rng.Intn(len(words))]),
+			Time(t0.Add(time.Duration(rng.Intn(1000)) * time.Second)),
+		}
+		for c := range r {
+			if nulls && rng.Intn(4) == 0 {
+				r[c] = Null()
+			}
+		}
+		if wrongType && rng.Intn(3) == 0 {
+			r[rng.Intn(len(r))] = String("wrong type") // degrades that vector to boxed
+		}
+		return r
+	}
+	check := func(label string, cb *ColBatch) {
+		t.Helper()
+		if got, want := cb.WireSize(), cb.Rows().WireSize(); got != want {
+			t.Fatalf("%s: ColBatch.WireSize() = %d, Rows().WireSize() = %d (N=%d Sel=%v)", label, got, want, cb.N, cb.Sel)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(40)
+		nulls, wrongType := trial%2 == 1, trial%5 == 4
+		rows := make(Rows, n)
+		for i := range rows {
+			rows[i] = randomRow(nulls, wrongType)
+		}
+		base := BatchFromRows(rel, rows)
+		check("dense", base)
+
+		// A refined selection: an ascending random subset, possibly empty.
+		sel := []int{}
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				sel = append(sel, i)
+			}
+		}
+		check("sel", &ColBatch{Rel: rel, Vecs: base.Vecs, N: n, Sel: sel})
+		check("empty sel", &ColBatch{Rel: rel, Vecs: base.Vecs, N: n, Sel: []int{}})
+		check("view", &ColBatch{Rel: rel, Vecs: base.Vecs, N: n, Sel: sel, View: rows})
+
+		// A window of the vectors whose N is shorter than their backing.
+		if n > 2 {
+			lo, hi := 1, n-1
+			vecs := make([]ColVec, len(base.Vecs))
+			for c := range vecs {
+				vecs[c] = base.Vecs[c].Window(lo, hi)
+			}
+			check("window", &ColBatch{Rel: rel, Vecs: vecs, N: hi - lo})
+		}
+		// Re-sliced to fewer columns, as a stage boundary's projection does.
+		check("narrowed", &ColBatch{Rel: rel.Project([]int{3, 1}), Vecs: []ColVec{base.Vecs[3], base.Vecs[1]}, N: n, Sel: sel})
+	}
+	// No columns at all (COUNT(*) shapes ship empty rows): the row prefix only.
+	check("zero width", &ColBatch{Rel: rel.Project([]int{}), N: 7})
+	// A payload slot behind a NULL mask entry is not data and ships nothing.
+	masked := ColVec{Typ: TypeString, Strs: []string{"hidden", "x"}, Nulls: []bool{true, false}}
+	check("payload behind a NULL", &ColBatch{Rel: NewRelation("p", Col("s", TypeString)), Vecs: []ColVec{masked}, N: 2})
 }

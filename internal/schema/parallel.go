@@ -135,3 +135,61 @@ func (p *morselIterator) Next() (Rows, error) {
 }
 
 func (p *morselIterator) Close() { p.done = true }
+
+// sharedColMorsels is ShareIterator's columnar twin: any ColIterator served
+// to concurrent workers behind a mutex. A column batch stays valid after
+// the next pull (ColIterator's contract), so there is no header to copy.
+type sharedColMorsels struct {
+	mu     sync.Mutex
+	src    ColIterator
+	seq    int
+	done   bool
+	closed bool
+}
+
+// ShareColIterator wraps a columnar iterator as a ColMorselSource. Whatever
+// the iterator does per pull (a fragment stage's decode and accounting)
+// runs inside the lock; the claiming workers' kernels run outside it.
+func ShareColIterator(it ColIterator) ColMorselSource {
+	return &sharedColMorsels{src: it}
+}
+
+func (s *sharedColMorsels) NextColMorsel() (ColMorsel, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.done {
+		return ColMorsel{}, nil
+	}
+	batch, err := s.src.NextBatch()
+	if err != nil {
+		s.done = true
+		return ColMorsel{Seq: s.seq}, err
+	}
+	if batch == nil {
+		s.done = true
+		return ColMorsel{}, nil
+	}
+	m := ColMorsel{Seq: s.seq, Batch: batch}
+	s.seq++
+	return m, nil
+}
+
+func (s *sharedColMorsels) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.done = true
+	if !s.closed {
+		s.closed = true
+		s.src.Close()
+	}
+}
+
+// SizeHint forwards the iterator's remaining-row bound (0 when unknown).
+func (s *sharedColMorsels) SizeHint() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if h, ok := s.src.(SizeHinter); ok && !s.done {
+		return h.SizeHint()
+	}
+	return 0
+}

@@ -550,6 +550,10 @@ func (s *tableColScan) NextBatch() (*schema.ColBatch, error) {
 
 func (s *tableColScan) Close() { s.cur.close() }
 
+// SizeHint is tableScan's exact remaining row count for columnar consumers
+// (a breaker pre-sizing its drain); consumers that filter must not forward it.
+func (s *tableColScan) SizeHint() int { return s.cur.remaining() }
+
 // ScanMorsels opens a partitioned scan: the snapshot is split into morsels
 // (sequence-numbered row batches) handed out to however many worker
 // goroutines pull from the returned source. The cursor is one atomic
@@ -660,6 +664,27 @@ func (c *morselCursor) window(p *scanPart, lo, hi int) (*schema.ColBatch, error)
 
 func (c *morselCursor) close() { c.closed.Store(true) }
 
+// remaining reports the snapshot rows no claim has reserved yet: exact while
+// nobody claims concurrently, which is when breakers ask (before the first
+// pull).
+func (c *morselCursor) remaining() int {
+	if c.closed.Load() {
+		return 0
+	}
+	seq := int(c.next.Load())
+	n := 0
+	for i, p := range c.snap.parts {
+		switch {
+		case seq >= c.starts[i+1]:
+		case seq <= c.starts[i]:
+			n += p.nrows
+		default:
+			n += p.nrows - (seq-c.starts[i])*c.batch
+		}
+	}
+	return n
+}
+
 // tableMorsels serves row-major morsels: claim, window, pivot worker-side.
 type tableMorsels struct{ cursor *morselCursor }
 
@@ -705,6 +730,9 @@ func (m *tableColMorsels) NextColMorsel() (schema.ColMorsel, error) {
 }
 
 func (m *tableColMorsels) Close() { m.cursor.close() }
+
+// SizeHint implements schema.SizeHinter (see morselCursor.remaining).
+func (m *tableColMorsels) SizeHint() int { return m.cursor.remaining() }
 
 // Truncate removes all rows: sealed segments are dropped (a persistent
 // backend deletes their files), the tail vectors are replaced wholesale,

@@ -7,6 +7,9 @@
 # construction, selection-vector matching and gather over the same payloads.
 # internal/engine/vecsort.go holds the typed sort keys (schema.KeyCol) the
 # ORDER BY and window paths compare unboxed.
+# internal/fragment/colstage.go is the columnar branch of a fragment stage
+# boundary (stageIter.nextBatch, colStageSource): batches are accounted by
+# ColBatch.WireSize and handed to the next stage's kernels as they are.
 #
 # Their whole reason to exist is that no row is ever pivoted before the
 # kernel decides; the moment one reaches for a row-major helper
@@ -14,19 +17,22 @@
 # re-materialized per row and the vectorized path silently degrades to the
 # row path with extra steps. Pivoting belongs to the boundary layers
 # (vecscan.go residuals, vecblock.go/vecgroup.go output, the join's
-# post-match gather into output rows), never to the kernels.
+# post-match gather into output rows), never to the kernels — and a stage
+# boundary that pivots puts back the per-row boxing at every hop that the
+# columnar chain removed.
 set -eu
 cd "$(dirname "$0")/.."
 
 status=0
-for f in internal/engine/veckernel.go internal/engine/vecjoin.go internal/engine/vecsort.go; do
+for f in internal/engine/veckernel.go internal/engine/vecjoin.go internal/engine/vecsort.go \
+	internal/fragment/colstage.go; do
 	hits=$(grep -n '\.Rows()\|RowAt\|schema\.Row\b' "$f" || true)
 	if [ -n "$hits" ]; then
-		echo "$f must stay columnar — no row pivots inside kernels"
+		echo "$f must stay columnar — no row pivots inside kernels or stage boundaries"
 		echo "(ColBatch.Rows / RowAt / schema.Row belong to the pivot boundary):"
 		echo "$hits"
 		status=1
 	fi
 done
 [ "$status" -eq 0 ] || exit "$status"
-echo "vecguard: ok (kernels are pivot-free)"
+echo "vecguard: ok (kernels and columnar stage boundaries are pivot-free)"

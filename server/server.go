@@ -85,6 +85,10 @@ type Server struct {
 	queriesTotal atomic.Int64
 	rowsStreamed atomic.Int64
 	errorsTotal  atomic.Int64
+	// Stage outputs of completed queries, by representation (see
+	// StatsSnapshot.StagesColumnar).
+	stagesColumnar atomic.Int64
+	stagesRows     atomic.Int64
 }
 
 // New validates the configuration, opens one session per tenant over the
@@ -163,6 +167,9 @@ func (s *Server) Stats() StatsSnapshot {
 		ErrorsTotal:  s.errorsTotal.Load(),
 		Draining:     s.draining.Load(),
 		UptimeMs:     time.Since(s.start).Milliseconds(),
+
+		StagesColumnar: s.stagesColumnar.Load(),
+		StagesRows:     s.stagesRows.Load(),
 	}
 }
 
@@ -332,6 +339,13 @@ func (s *Server) streamCursor(w http.ResponseWriter, cur *paradise.Cursor) {
 		enc.Encode(msg)
 		flush()
 		return
+	}
+	for _, a := range stats.Assignments {
+		if a.Columnar {
+			s.stagesColumnar.Add(1)
+		} else {
+			s.stagesRows.Add(1)
+		}
 	}
 	enc.Encode(statsMessage(rows, stats))
 	flush()

@@ -122,6 +122,21 @@ func TestQueryRoundtrip(t *testing.T) {
 	if len(res.Columns) != 2 || res.Columns[0].Name != "x" || res.Columns[1].Name != "za" {
 		t.Fatalf("schema line = %+v", res.Columns)
 	}
+	// The trailer says how each stage's output crossed the stage boundary:
+	// the scan and projection stages as column batches, the aggregation as
+	// rows, with the engine's reason.
+	stages := res.Stats.Stages
+	if len(stages) != len(want.Net.Assignments) || len(stages) < 3 {
+		t.Fatalf("trailer has %d stages, the outcome %d", len(stages), len(want.Net.Assignments))
+	}
+	for i, a := range want.Net.Assignments {
+		if stages[i].Path != a.Path() {
+			t.Fatalf("stage %d path = %q, want %q", i+1, stages[i].Path, a.Path())
+		}
+	}
+	if first, last := stages[0].Path, stages[len(stages)-1].Path; first != "columnar" || last != "rows: breaker" {
+		t.Fatalf("stage paths run from %q to %q, want columnar to rows: breaker", first, last)
+	}
 }
 
 // TestErrorStatusMapping: the facade's typed errors surface as the
@@ -286,14 +301,27 @@ func TestConcurrentClientsEquivalence(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	_, _, client := newTestServer(t, testStore(t, 500))
 	ctx := context.Background()
+	var columnar, rows int64
 	for i := 0; i < 2; i++ {
-		if _, err := client.Query(ctx, QueryRequest{SQL: "SELECT x, y FROM d"}); err != nil {
+		res, err := client.Query(ctx, QueryRequest{SQL: "SELECT x, y FROM d"})
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, sg := range res.Stats.Stages {
+			if sg.Path == "columnar" {
+				columnar++
+			} else {
+				rows++
+			}
 		}
 	}
 	st, err := client.ServerStats(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.StagesColumnar != columnar || st.StagesRows != rows || columnar == 0 {
+		t.Fatalf("stage boundaries: stats say %d columnar / %d rows, the trailers %d / %d",
+			st.StagesColumnar, st.StagesRows, columnar, rows)
 	}
 	if st.QueriesTotal != 2 || st.Tenants != 2 {
 		t.Fatalf("stats = %+v", st)

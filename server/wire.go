@@ -79,11 +79,18 @@ type StatsSnapshot struct {
 	ErrorsTotal  int64                   `json:"errors_total"`
 	Draining     bool                    `json:"draining"`
 	UptimeMs     int64                   `json:"uptime_ms"`
+	// StagesColumnar and StagesRows count the fragment-stage outputs of
+	// every completed query by representation: column batches handed to the
+	// next stage's kernels, or rows (the trailer's stages[].path says why).
+	StagesColumnar int64 `json:"stages_columnar"`
+	StagesRows     int64 `json:"stages_rows"`
 }
 
 // StageInfo is one fragment of the stats trailer's per-stage breakdown:
 // where the stage ran and its modeled (est_*) versus measured (out_*)
-// output, so clients can audit the traffic model against the wire.
+// output, so clients can audit the traffic model against the wire. Path is
+// how the output crossed the stage boundary: "columnar", or "rows: <why the
+// stage's block did not compile to kernels only>".
 type StageInfo struct {
 	Stage    int    `json:"stage"`
 	Node     string `json:"node"`
@@ -94,6 +101,7 @@ type StageInfo struct {
 	OutBytes int    `json:"out_bytes"`
 	EstRows  int64  `json:"est_rows,omitempty"`
 	EstBytes int64  `json:"est_bytes,omitempty"`
+	Path     string `json:"path,omitempty"`
 }
 
 // schemaMessage renders the schema line for a result relation.
@@ -155,6 +163,7 @@ func statsMessage(rows int, st *paradise.RunStats) *Message {
 			OutBytes: a.OutBytes,
 			EstRows:  a.Fragment.EstRows,
 			EstBytes: a.Fragment.EstBytes,
+			Path:     a.Path(),
 		}
 	}
 	return &Message{
