@@ -1,6 +1,8 @@
 package paradise
 
 import (
+	"fmt"
+
 	"paradise/internal/core"
 	"paradise/internal/schema"
 )
@@ -21,16 +23,60 @@ import (
 //
 // Rows returned by Row are immutable and may be retained. A Cursor is not
 // safe for concurrent use.
+//
+// A result whose final fragment compiled to kernels only (scan, filters,
+// plain columns; Columnar reports it) can instead be consumed as the column
+// batches that fragment produced, with no row ever materialized:
+//
+//	for {
+//	        b, err := cur.NextBatch()
+//	        if b == nil { break } // err, if any, is also cur.Err()
+//	        ...                   // b.Vecs[c].Floats[i] for i in b.Sel
+//	}
+//
+// Both faces deliver the same rows in the same order and the same Stats. A
+// cursor serves one of them: the first Next or NextBatch call chooses, and
+// calling the other afterwards fails the cursor with ErrUsage.
 type Cursor struct {
 	stream  *core.Stream
 	session *Session
 	module  string
+	face    cursorFace
 	batch   schema.Rows
 	idx     int
 	row     Row
 	err     error
 	done    bool
 	closed  bool
+}
+
+// cursorFace is which of the two consumption faces a cursor was first
+// pulled through.
+type cursorFace uint8
+
+const (
+	faceUnset cursorFace = iota
+	faceRows
+	faceBatches
+)
+
+// choose commits the cursor to a face, failing it with ErrUsage when it
+// already serves the other one.
+func (c *Cursor) choose(f cursorFace) bool {
+	if c.face == faceUnset {
+		c.face = f
+	}
+	if c.face != f {
+		c.misuse("Next and NextBatch mixed on one cursor")
+		return false
+	}
+	return true
+}
+
+// misuse fails the cursor with ErrUsage.
+func (c *Cursor) misuse(what string) {
+	c.err = fmt.Errorf("%w: %s", ErrUsage, what)
+	c.done = true
 }
 
 // Next advances to the next row, pulling the next batch through the chain
@@ -42,6 +88,9 @@ func (c *Cursor) Next() bool {
 		return false
 	}
 	for c.idx >= len(c.batch) {
+		if !c.choose(faceRows) { // per pull, not per row: a batch face leaves no rows buffered
+			return false
+		}
 		batch, err := c.stream.Next()
 		if err != nil {
 			c.err = c.session.wrapModErr(err, c.module)
@@ -61,6 +110,45 @@ func (c *Cursor) Next() bool {
 
 // Row returns the current row. Only valid after a true Next.
 func (c *Cursor) Row() Row { return c.row }
+
+// Buffered returns how many rows Next will deliver without pulling the
+// pipeline again. At 0 the following Next may block on the storage scans,
+// which is when a consumer that batches its own output should hand it on.
+func (c *Cursor) Buffered() int { return len(c.batch) - c.idx }
+
+// Columnar reports whether the result can be consumed with NextBatch: the
+// final fragment compiled to kernels only and the session does not
+// anonymize (the postprocessor needs rows). It is fixed when the query
+// opens; a fragment's -explain line says which way it ships.
+func (c *Cursor) Columnar() bool { return c.stream.Columnar() }
+
+// NextBatch returns the next column batch of a Columnar result, or nil when
+// the stream is exhausted, the context is cancelled or an error occurs; the
+// error is returned and also kept for Err. The live rows of a batch are the
+// physical positions Sel lists (all N when Sel is nil). A batch is
+// read-only — its vectors may alias storage — and stays valid after later
+// calls. On a cursor that is not Columnar, or that Next has been called on,
+// NextBatch fails with ErrUsage.
+func (c *Cursor) NextBatch() (*Batch, error) {
+	if c.err != nil || c.done {
+		return nil, c.err
+	}
+	if !c.Columnar() {
+		c.misuse("NextBatch on a cursor that is not Columnar")
+		return nil, c.err
+	}
+	if !c.choose(faceBatches) {
+		return nil, c.err
+	}
+	b, err := c.stream.NextBatch()
+	if err != nil {
+		c.err = c.session.wrapModErr(err, c.module)
+	}
+	if b == nil {
+		c.done = true
+	}
+	return b, c.err
+}
 
 // Err returns the first error the cursor hit, or nil. Exhaustion and an
 // explicit Close are not errors; a cancelled context is (ctx.Err, wrapped).

@@ -22,6 +22,11 @@
 //	        ...
 //	}
 //
+// A cursor whose Columnar method reports true (the final fragment is scan,
+// filters and plain columns; no anonymization) can be consumed with
+// NextBatch instead: the typed column vectors that fragment produced, with
+// no row ever built. The server package streams such results that way.
+//
 // Failures are typed: errors.Is(err, ErrPolicyViolation) (with
 // *PolicyViolation carrying the violated rule and offending columns via
 // errors.As), ErrParse, ErrUnsupported and ErrUsage.

@@ -77,6 +77,46 @@ func ExampleSession_Query() {
 	// x=3 t=250
 }
 
+// Consume the same query as column batches: the final fragment compiled to
+// kernels only, so the cursor is Columnar and NextBatch hands out that
+// fragment's typed vectors — no row is materialized. Sel lists the live
+// positions of a filtered batch (all N when nil).
+func ExampleCursor_NextBatch() {
+	sess, err := paradise.Open(exampleStore())
+	if err != nil {
+		panic(err)
+	}
+	cur, err := sess.Query(context.Background(), "SELECT x, t FROM d WHERE t >= 100")
+	if err != nil {
+		panic(err)
+	}
+	defer cur.Close()
+	fmt.Println("columnar:", cur.Columnar())
+	for {
+		b, err := cur.NextBatch()
+		if err != nil {
+			panic(err)
+		}
+		if b == nil {
+			break
+		}
+		x, t := b.Vecs[0].Floats, b.Vecs[1].Ints
+		for k := 0; k < b.Len(); k++ {
+			i := k
+			if b.Sel != nil {
+				i = b.Sel[k]
+			}
+			fmt.Printf("x=%v t=%d\n", x[i], t[i])
+		}
+	}
+	// Output:
+	// columnar: true
+	// x=2 t=100
+	// x=3 t=150
+	// x=2 t=200
+	// x=3 t=250
+}
+
 // Parallelism is a pure performance knob: a session opened with
 // WithParallelism(4) runs scans, filters, projections, join probes and
 // aggregation on four worker goroutines per query, yet returns exactly the

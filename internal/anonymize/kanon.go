@@ -126,31 +126,47 @@ func mondrianSplit(out, in schema.Rows, members []int, qiIdx []int, k int) {
 func widestDimension(in schema.Rows, members []int, qiIdx []int) (int, bool) {
 	bestDim, bestSpread, ok := -1, -1.0, false
 	for _, dim := range qiIdx {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		distinct := map[string]bool{}
-		numeric := true
-		for _, m := range members {
-			v := in[m][dim]
-			distinct[v.GroupKey()] = true
-			if v.Type().Numeric() {
-				f := v.AsFloat()
-				lo, hi = math.Min(lo, f), math.Max(hi, f)
-			} else {
-				numeric = false
-			}
-		}
-		if len(distinct) < 2 {
-			continue
-		}
-		spread := float64(len(distinct))
-		if numeric {
-			spread = hi - lo
-		}
-		if spread > bestSpread {
+		spread, cuttable := dimSpread(in, members, dim)
+		if cuttable && spread > bestSpread {
 			bestSpread, bestDim, ok = spread, dim, true
 		}
 	}
 	return bestDim, ok
+}
+
+// dimSpread measures one dimension over a partition: the value range when
+// every member is numeric, the number of distinct values otherwise, and
+// whether there are at least two distinct values to cut between. Distinct
+// means distinct group keys (1 equals 1.0, NaN equals NaN, -0 differs from
+// +0). The all-numeric case — every partition of a sensor table — needs no
+// key strings for that: a second value shows as key bits that differ from
+// the first member's.
+func dimSpread(in schema.Rows, members []int, dim int) (spread float64, cuttable bool) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	var first uint64
+	numeric := true
+	for i, m := range members {
+		v := in[m][dim]
+		if !v.Type().Numeric() {
+			numeric = false
+			break
+		}
+		f := v.AsFloat()
+		lo, hi = math.Min(lo, f), math.Max(hi, f)
+		if bits := schema.NumericKeyBits(f); i == 0 {
+			first = bits
+		} else if bits != first {
+			cuttable = true
+		}
+	}
+	if numeric {
+		return hi - lo, cuttable
+	}
+	distinct := map[string]bool{}
+	for _, m := range members {
+		distinct[in[m][dim].GroupKey()] = true
+	}
+	return float64(len(distinct)), len(distinct) >= 2
 }
 
 // generalizePartition replaces each QI value of the partition by the

@@ -103,6 +103,32 @@ func (s *Stream) Next() (schema.Rows, error) {
 	return batch, nil
 }
 
+// Columnar reports whether the result can be pulled as column batches
+// (NextBatch): the final fragment compiled to kernels only and no
+// postprocessor needs the rows. Fixed at open time.
+func (s *Stream) Columnar() bool { return !s.anonymizing() && s.net.Columnar() }
+
+// NextBatch is Next for a Columnar stream: the same rows in the same order,
+// as the column batches the final fragment produced — nothing is pivoted. A
+// nil batch means the stream is exhausted. Batches are read-only and stay
+// valid after later pulls. Both faces advance one stream and one
+// accounting.
+func (s *Stream) NextBatch() (*schema.ColBatch, error) {
+	if s.finished {
+		return nil, s.err
+	}
+	cb, err := s.net.NextBatch()
+	if err != nil {
+		s.fail(err)
+		return nil, err
+	}
+	if cb == nil {
+		s.finish()
+		return nil, s.err
+	}
+	return cb, nil
+}
+
 // Close finalizes the stream: the remaining chain is drained so the
 // Figure 3 accounting is complete, the Outcome is sealed and the query is
 // journaled. Idempotent — the first call decides the result.

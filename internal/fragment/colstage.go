@@ -42,6 +42,19 @@ func (s *stageIter) nextBatch() (*schema.ColBatch, error) {
 	return cb, nil
 }
 
+// Columnar reports whether the final stage compiled to kernels only, i.e.
+// whether the chain's result can be pulled as column batches (NextBatch)
+// instead of rows (Iterator). It is a property of the compiled plan, fixed
+// at OpenChain.
+func (c *Chain) Columnar() bool { return c.stages[len(c.stages)-1].col != nil }
+
+// NextBatch is the columnar face of Iterator: the final stage's next batch,
+// nil when exhausted, accounted exactly like the rows Iterator would have
+// delivered. Only valid on a Columnar chain. Both faces advance one stream.
+func (c *Chain) NextBatch() (*schema.ColBatch, error) {
+	return c.stages[len(c.stages)-1].nextBatch()
+}
+
 // sizeHint is the stage's remaining row count when its pipeline knows it (an
 // unfiltered scan), for a breaker in the next stage pre-sizing its drain.
 func (s *stageIter) sizeHint() int {

@@ -302,6 +302,23 @@ func (s *Stream) Next() (schema.Rows, error) {
 	return batch, err
 }
 
+// Columnar reports whether the final fragment's output can be pulled as
+// column batches (see fragment.Chain.Columnar).
+func (s *Stream) Columnar() bool { return s.chain.Columnar() }
+
+// NextBatch is Next for a Columnar stream: the same output, unpivoted. A
+// nil batch means the chain is exhausted.
+func (s *Stream) NextBatch() (*schema.ColBatch, error) {
+	if s.closed {
+		return nil, s.err
+	}
+	cb, err := s.chain.NextBatch()
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	return cb, err
+}
+
 // Close drains the remaining pipeline (finalizing every stage's
 // accounting), then derives the placement stats. Idempotent.
 func (s *Stream) Close() {

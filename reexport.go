@@ -39,6 +39,11 @@ type (
 	Rows = schema.Rows
 	// Value is one typed cell of a Row.
 	Value = schema.Value
+	// Batch is a run of result rows in columnar form, as Cursor.NextBatch
+	// delivers them: one Vector per column plus the selection of live rows.
+	Batch = schema.ColBatch
+	// Vector is one typed column of a Batch.
+	Vector = schema.ColVec
 
 	// Policy is a user's privacy policy: one Module per analysis
 	// functionality (§3.3, Figure 4).

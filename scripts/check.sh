@@ -43,6 +43,11 @@ go test ./...
 step "go test -race -cpu 1,4"
 go test -race -cpu 1,4 ./...
 
+# The append-style NDJSON encoder must write encoding/json's bytes for any
+# cell; the checked-in seeds (server/testdata/fuzz) already ran above.
+step "fuzz the row-line encoder (10s)"
+go test ./server -run '^$' -fuzz FuzzRowLine -fuzztime 10s
+
 step "serving smoke"
 sh scripts/servesmoke.sh
 

@@ -10,6 +10,11 @@
 # internal/fragment/colstage.go is the columnar branch of a fragment stage
 # boundary (stageIter.nextBatch, colStageSource): batches are accounted by
 # ColBatch.WireSize and handed to the next stage's kernels as they are.
+# server/ndjson.go appends NDJSON row lines; its batch entry point
+# (appendBatchRow, appendCell) reads the typed vectors of the final stage's
+# batches, so a columnar result reaches the socket without ever being rows
+# (its row entry point, appendRowLine, takes a paradise.Row it was given —
+# which the pattern below does not match — and pivots nothing either).
 #
 # Their whole reason to exist is that no row is ever pivoted before the
 # kernel decides; the moment one reaches for a row-major helper
@@ -25,7 +30,7 @@ cd "$(dirname "$0")/.."
 
 status=0
 for f in internal/engine/veckernel.go internal/engine/vecjoin.go internal/engine/vecsort.go \
-	internal/fragment/colstage.go; do
+	internal/fragment/colstage.go server/ndjson.go; do
 	hits=$(grep -n '\.Rows()\|RowAt\|schema\.Row\b' "$f" || true)
 	if [ -n "$hits" ]; then
 		echo "$f must stay columnar — no row pivots inside kernels or stage boundaries"
@@ -35,4 +40,4 @@ for f in internal/engine/veckernel.go internal/engine/vecjoin.go internal/engine
 	fi
 done
 [ "$status" -eq 0 ] || exit "$status"
-echo "vecguard: ok (kernels and columnar stage boundaries are pivot-free)"
+echo "vecguard: ok (kernels, columnar stage boundaries and the wire encoder are pivot-free)"

@@ -13,11 +13,23 @@
 // request context: client disconnects and deadlines cancel the storage
 // scans within one batch.
 //
+// Row lines are appended to a pooled buffer by an encoder that writes
+// encoding/json's bytes without boxing or reflection (ndjson.go). When the
+// query's final fragment produced column batches the lines come straight
+// from the typed vectors (Cursor.NextBatch) and no row is ever built;
+// otherwise they come from the cursor's rows. The buffer is written and
+// flushed when it passes 32 KiB and, once per pulled batch, when its
+// lines are older than 20 ms — always on a line boundary. A panic on the
+// request goroutine is contained: the pending whole lines and a final
+// "internal" error line are delivered, the stack is logged, panics_total
+// counts it and the server keeps serving.
+//
 // The facade's typed errors map onto status codes — ErrPolicyViolation
 // 403, ErrParse 400, ErrUnsupported 501, ErrUsage 422 — with a structured
 // JSON body carrying the violated rule and offending attributes.
 // GET /v1/stats exposes the serving metrics: plan-cache hits, misses and
-// evictions, tenant sessions, in-flight queries, totals. Shutdown drains
+// evictions, tenant sessions, in-flight queries, totals, bytes streamed,
+// flushes and which encoder entry point served each response. Shutdown drains
 // in-flight cursors within a caller-supplied deadline and then cancels the
 // stragglers, which end their streams with a final error line instead of
 // a hang.

@@ -5,18 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	paradise "paradise"
 )
-
-// flushEvery bounds how many row lines may sit in the response buffer
-// before an explicit flush: small enough that slow consumers see steady
-// progress, large enough that the syscall cost disappears in the stream.
-const flushEvery = 64
 
 // Config assembles a Server.
 type Config struct {
@@ -85,10 +82,17 @@ type Server struct {
 	queriesTotal atomic.Int64
 	rowsStreamed atomic.Int64
 	errorsTotal  atomic.Int64
+	panicsTotal  atomic.Int64
 	// Stage outputs of completed queries, by representation (see
 	// StatsSnapshot.StagesColumnar).
 	stagesColumnar atomic.Int64
 	stagesRows     atomic.Int64
+	// What the streamed responses cost the wire, and which encoder entry
+	// point served each (see StatsSnapshot.ResponsesColumnar).
+	bytesStreamed     atomic.Int64
+	flushes           atomic.Int64
+	responsesColumnar atomic.Int64
+	responsesRows     atomic.Int64
 }
 
 // New validates the configuration, opens one session per tenant over the
@@ -165,11 +169,17 @@ func (s *Server) Stats() StatsSnapshot {
 		QueriesTotal: s.queriesTotal.Load(),
 		RowsStreamed: s.rowsStreamed.Load(),
 		ErrorsTotal:  s.errorsTotal.Load(),
+		PanicsTotal:  s.panicsTotal.Load(),
 		Draining:     s.draining.Load(),
 		UptimeMs:     time.Since(s.start).Milliseconds(),
 
 		StagesColumnar: s.stagesColumnar.Load(),
 		StagesRows:     s.stagesRows.Load(),
+
+		BytesStreamed:     s.bytesStreamed.Load(),
+		Flushes:           s.flushes.Load(),
+		ResponsesColumnar: s.responsesColumnar.Load(),
+		ResponsesRows:     s.responsesRows.Load(),
 	}
 }
 
@@ -276,6 +286,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.inFlight.Add(-1)
 	s.queriesTotal.Add(1)
 
+	out := newLineWriter(w)
+	defer s.endResponse(out, tn.name, req.SQL)
+
 	var opts []paradise.QueryOption
 	if req.Module != "" {
 		opts = append(opts, paradise.Module(req.Module))
@@ -287,57 +300,106 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, msg)
 		return
 	}
-	defer cur.Close()
-	s.streamCursor(w, cur)
+	defer cur.Close() // also under a panic, before endResponse reports it
+	s.streamCursor(out, cur)
+}
+
+// endResponse is deferred around everything that produces a query response,
+// and is the panic boundary of the request goroutine: whatever the compile,
+// a cursor pull or the encoder raises ends this response with a final error
+// line (or a 500 when nothing was sent yet) instead of a torn stream, and
+// the server keeps serving.
+func (s *Server) endResponse(out *lineWriter, tenant, sql string) {
+	if p := recover(); p != nil {
+		s.abortOnPanic(out, p, tenant, sql)
+	}
+	s.bytesStreamed.Add(out.bytes)
+	s.flushes.Add(out.flushes)
+	out.release()
+}
+
+// abortOnPanic ends a response whose handler panicked with value p. Once the
+// header is out, the whole lines still pending are delivered and the stream
+// ends with an error line, as the protocol promises for every failure; a
+// line the encoder was in the middle of is dropped. Before that the client
+// gets a plain 500. The stack goes to the log, the event to panics_total.
+func (s *Server) abortOnPanic(out *lineWriter, p any, tenant, sql string) {
+	s.panicsTotal.Add(1)
+	s.errorsTotal.Add(1)
+	slog.Error("server: query panicked", "panic", p, "tenant", tenant, "sql", sql, "stack", string(debug.Stack()))
+	msg := &Message{Type: "error", Code: "internal", Message: "internal error: the query was aborted"}
+	if !out.started {
+		s.writeError(out.w, http.StatusInternalServerError, msg)
+		return
+	}
+	out.dropPartialLine()
+	_ = json.NewEncoder(out).Encode(msg) // lineWriter.Write cannot fail
+	out.write()
+}
+
+// resultCursor is what streamCursor needs of a *paradise.Cursor; the tests
+// substitute producers that trickle or panic.
+type resultCursor interface {
+	Schema() *paradise.Relation
+	Columnar() bool
+	NextBatch() (*paradise.Batch, error)
+	Next() bool
+	Row() paradise.Row
+	Buffered() int
+	Err() error
+	Stats() (*paradise.RunStats, error)
 }
 
 // streamCursor writes the NDJSON body: schema, rows, then either the stats
-// trailer or a final error line. Every write path leaves the response a
+// trailer or a final error line. A Columnar cursor is encoded batch by batch
+// straight from its vectors, any other row by row. Row lines leave by size
+// (flushBytes) and, once per pulled batch, by age (flushInterval); every
+// write ends on a line boundary, so each path leaves the response a
 // sequence of complete JSON lines.
-func (s *Server) streamCursor(w http.ResponseWriter, cur *paradise.Cursor) {
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-
-	if err := enc.Encode(schemaMessage(cur.Schema())); err != nil {
-		return // client is gone; nothing sensible left to write
-	}
-	flush()
+func (s *Server) streamCursor(out *lineWriter, cur resultCursor) {
+	out.start()
+	enc := json.NewEncoder(out) // schema, trailer and error lines only
+	_ = enc.Encode(schemaMessage(cur.Schema()))
+	out.flush()
 
 	rows := 0
-	for cur.Next() {
-		if err := enc.Encode(&Message{Type: "row", Values: rowValues(cur.Row())}); err != nil {
-			s.rowsStreamed.Add(int64(rows))
-			return
+	defer func() { s.rowsStreamed.Add(int64(rows)) }()
+	if cur.Columnar() {
+		s.responsesColumnar.Add(1)
+		for out.err == nil {
+			b, _ := cur.NextBatch() // the error stays in cur.Err
+			if b == nil {
+				break
+			}
+			rows += out.batch(b)
+			out.flushIfStale()
 		}
-		rows++
-		if rows%flushEvery == 0 {
-			flush()
+	} else {
+		s.responsesRows.Add(1)
+		for out.err == nil && cur.Next() {
+			out.row(cur.Row())
+			rows++
+			if cur.Buffered() == 0 {
+				out.flushIfStale()
+			}
 		}
 	}
-	s.rowsStreamed.Add(int64(rows))
+	if out.err != nil {
+		return // client is gone; nothing sensible left to write
+	}
 
-	if err := cur.Err(); err != nil {
-		// Mid-stream failure (cancellation, drain deadline, execution
-		// error): the stream ends with an error line, not a trailer.
-		s.errorsTotal.Add(1)
-		_, msg := errorMessage(err)
-		enc.Encode(msg)
-		flush()
-		return
+	// A mid-stream failure (cancellation, drain deadline, execution error)
+	// ends the stream with an error line, not a trailer.
+	err := cur.Err()
+	var stats *paradise.RunStats
+	if err == nil {
+		stats, err = cur.Stats()
 	}
-	stats, err := cur.Stats()
 	if err != nil {
 		s.errorsTotal.Add(1)
 		_, msg := errorMessage(err)
-		enc.Encode(msg)
-		flush()
+		_ = enc.Encode(msg)
+		out.write()
 		return
 	}
 	for _, a := range stats.Assignments {
@@ -347,8 +409,8 @@ func (s *Server) streamCursor(w http.ResponseWriter, cur *paradise.Cursor) {
 			s.stagesRows.Add(1)
 		}
 	}
-	enc.Encode(statsMessage(rows, stats))
-	flush()
+	_ = enc.Encode(statsMessage(rows, stats))
+	out.write()
 }
 
 // queryDeadline resolves the effective execution ceiling for one request:

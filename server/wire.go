@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"strings"
 	"time"
 
@@ -77,13 +76,27 @@ type StatsSnapshot struct {
 	QueriesTotal int64                   `json:"queries_total"`
 	RowsStreamed int64                   `json:"rows_streamed"`
 	ErrorsTotal  int64                   `json:"errors_total"`
-	Draining     bool                    `json:"draining"`
-	UptimeMs     int64                   `json:"uptime_ms"`
+	// PanicsTotal counts queries whose handler panicked and was contained:
+	// the response ended with an "internal" error, the stack is in the log.
+	PanicsTotal int64 `json:"panics_total"`
+	Draining    bool  `json:"draining"`
+	UptimeMs    int64 `json:"uptime_ms"`
 	// StagesColumnar and StagesRows count the fragment-stage outputs of
 	// every completed query by representation: column batches handed to the
 	// next stage's kernels, or rows (the trailer's stages[].path says why).
 	StagesColumnar int64 `json:"stages_columnar"`
 	StagesRows     int64 `json:"stages_rows"`
+	// BytesStreamed is the body bytes of all streamed (200) responses,
+	// Flushes how many times pending lines were pushed to a client before
+	// the end of a response.
+	BytesStreamed int64 `json:"bytes_streamed"`
+	Flushes       int64 `json:"flushes"`
+	// ResponsesColumnar and ResponsesRows count the streamed responses by
+	// encoder entry point: row lines appended straight from the final
+	// stage's column batches, or from materialized rows (the final stage
+	// shipped rows, or the tenant anonymizes).
+	ResponsesColumnar int64 `json:"responses_columnar"`
+	ResponsesRows     int64 `json:"responses_rows"`
 }
 
 // StageInfo is one fragment of the stats trailer's per-stage breakdown:
@@ -111,42 +124,6 @@ func schemaMessage(rel *paradise.Relation) *Message {
 		cols[i] = ColumnInfo{Name: c.Name, Type: strings.ToLower(c.Type.String())}
 	}
 	return &Message{Type: "schema", Columns: cols}
-}
-
-// rowValues encodes one row into JSON-native values.
-func rowValues(r paradise.Row) []any {
-	out := make([]any, len(r))
-	for i, v := range r {
-		out[i] = encodeValue(v)
-	}
-	return out
-}
-
-// encodeValue maps one typed cell to its JSON representation.
-func encodeValue(v paradise.Value) any {
-	switch v.Type() {
-	case paradise.TypeBool:
-		return v.AsBool()
-	case paradise.TypeInt:
-		return v.AsInt()
-	case paradise.TypeFloat:
-		f := v.AsFloat()
-		switch {
-		case math.IsNaN(f):
-			return "NaN"
-		case math.IsInf(f, 1):
-			return "+Inf"
-		case math.IsInf(f, -1):
-			return "-Inf"
-		}
-		return f
-	case paradise.TypeString:
-		return v.AsString()
-	case paradise.TypeTime:
-		return v.AsTime().Format(time.RFC3339Nano)
-	default: // NULL
-		return nil
-	}
 }
 
 // statsMessage renders the trailer from the drained chain's accounting.
