@@ -20,6 +20,16 @@ type accumulator interface {
 	result() schema.Value
 }
 
+// numAcc is the unboxed entry of the accumulators that fold one numeric
+// argument (COUNT(x), SUM, AVG, MIN, MAX, STDDEV/VARIANCE): the vectorized
+// GROUP BY feeds them straight from Ints/Floats payloads, skipping NULLs
+// itself. Their add(args) lands on the same two methods, so a value folds
+// identically — float sums bit for bit — whichever way it arrives.
+type numAcc interface {
+	addInt(x int64)
+	addFloat(x float64)
+}
+
 // newAccumulator builds the accumulator for the named aggregate.
 func newAccumulator(f *sqlparser.FuncCall) (accumulator, error) {
 	var inner accumulator
@@ -88,6 +98,9 @@ func (c *countAcc) add(args []schema.Value) {
 	}
 }
 
+func (c *countAcc) addInt(int64)     { c.n++ }
+func (c *countAcc) addFloat(float64) { c.n++ }
+
 func (c *countAcc) result() schema.Value { return schema.Int(c.n) }
 
 // sumAcc implements SUM with integer preservation.
@@ -102,17 +115,25 @@ func (s *sumAcc) add(args []schema.Value) {
 	if len(args) == 0 || args[0].IsNull() {
 		return
 	}
-	v := args[0]
+	switch v := args[0]; v.Type() {
+	case schema.TypeInt:
+		s.addInt(v.AsInt())
+	case schema.TypeFloat:
+		s.addFloat(v.AsFloat())
+	default:
+		s.sawValue = true // a non-numeric value adds nothing, but is a value
+	}
+}
+
+func (s *sumAcc) addInt(x int64) {
 	s.sawValue = true
-	if v.Type() == schema.TypeFloat {
-		s.anyFloat = true
-	}
-	if v.Type().Numeric() {
-		s.f += v.AsFloat()
-		if v.Type() == schema.TypeInt {
-			s.i += v.AsInt()
-		}
-	}
+	s.f += float64(x)
+	s.i += x
+}
+
+func (s *sumAcc) addFloat(x float64) {
+	s.sawValue, s.anyFloat = true, true
+	s.f += x
 }
 
 func (s *sumAcc) result() schema.Value {
@@ -135,8 +156,14 @@ func (a *avgAcc) add(args []schema.Value) {
 	if len(args) == 0 || args[0].IsNull() || !args[0].Type().Numeric() {
 		return
 	}
+	a.addFloat(args[0].AsFloat())
+}
+
+func (a *avgAcc) addInt(x int64) { a.addFloat(float64(x)) }
+
+func (a *avgAcc) addFloat(x float64) {
 	a.n++
-	a.sum += args[0].AsFloat()
+	a.sum += x
 }
 
 func (a *avgAcc) result() schema.Value {
@@ -166,6 +193,26 @@ func (m *minmaxAcc) add(args []schema.Value) {
 	}
 }
 
+// addInt and addFloat compare unboxed while the running best has the
+// value's own type, where </> is Value.Compare exactly (a NaN on either side
+// is incomparable there and false here, so best stays); a best of another
+// type, or none yet, takes the boxed route.
+func (m *minmaxAcc) addInt(x int64) {
+	if m.best.Type() != schema.TypeInt {
+		m.add([]schema.Value{schema.Int(x)})
+	} else if b := m.best.AsInt(); (m.min && x < b) || (!m.min && x > b) {
+		m.best = schema.Int(x)
+	}
+}
+
+func (m *minmaxAcc) addFloat(x float64) {
+	if m.best.Type() != schema.TypeFloat {
+		m.add([]schema.Value{schema.Float(x)})
+	} else if b := m.best.AsFloat(); (m.min && x < b) || (!m.min && x > b) {
+		m.best = schema.Float(x)
+	}
+}
+
 func (m *minmaxAcc) result() schema.Value { return m.best }
 
 // varAcc implements sample VARIANCE and STDDEV via Welford's algorithm.
@@ -180,7 +227,12 @@ func (v *varAcc) add(args []schema.Value) {
 	if len(args) == 0 || args[0].IsNull() || !args[0].Type().Numeric() {
 		return
 	}
-	x := args[0].AsFloat()
+	v.addFloat(args[0].AsFloat())
+}
+
+func (v *varAcc) addInt(x int64) { v.addFloat(float64(x)) }
+
+func (v *varAcc) addFloat(x float64) {
 	v.n++
 	d := x - v.mean
 	v.mean += d / float64(v.n)

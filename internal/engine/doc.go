@@ -42,8 +42,10 @@
 // the non-kernelizable suffix evaluated row-at-a-time on pivoted
 // survivors), pure equi-joins probe and gather by selection vector
 // (vecjoin.go), and single-table blocks — at any worker count — run whole
-// on kernels where one fits: numeric projections, simple DISTINCT and
-// GROUP BY (vecproject.go, vecblock.go, vecgroup.go). A block that is
+// on kernels where one fits: numeric projections, simple DISTINCT, GROUP BY
+// and ORDER BY over plain columns (vecproject.go, vecblock.go, vecgroup.go,
+// vecsort.go) — the two breakers read the vectors and pivot only group
+// representatives and the rows a sort returns. A block that is
 // nothing but scan, filters and a select list of stars and plain columns
 // has nothing to evaluate per row: its iterator (vecPassIter) also
 // implements schema.ColIterator and hands on the scan's vectors re-sliced
@@ -52,7 +54,7 @@
 // output is rows instead. Every
 // vectorized path is an internal fast path pinned bit-identical to the row
 // stages — same rows, order, and error text — and declines to them whenever
-// exact semantics would be at risk (windows, sorts, boxed vectors,
-// non-numeric expressions). Hashed operators share one key definition,
+// exact semantics would be at risk (windows, expression sort keys, boxed
+// vectors, non-numeric expressions). Hashed operators share one key definition,
 // schema.AppendGroupKey, built alloc-free from rows or vectors alike.
 package engine

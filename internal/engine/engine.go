@@ -14,6 +14,12 @@ import (
 // ErrQuery wraps all semantic evaluation errors.
 var ErrQuery = errors.New("engine: query error")
 
+// ErrInternal marks a failure that is the engine's own fault, not the
+// query's or the data's: a pipeline stage panicked and its goroutine
+// contained it. The stack is in the log; the query is over, the process and
+// every other query are not.
+var ErrInternal = errors.New("engine: internal error")
+
 // Source supplies base relations by name. storage.Store implements it;
 // the network simulator implements it per node. Sources that additionally
 // implement BatchSource are scanned batch-at-a-time instead of being

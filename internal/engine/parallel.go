@@ -2,6 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"log/slog"
+	"runtime/debug"
 	"sync"
 
 	"paradise/internal/plan"
@@ -241,8 +244,9 @@ type exchange struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	buf     map[int]*parcel
-	next    int // next seq to emit
-	active  int // workers still running
+	next    int   // next seq to emit
+	active  int   // workers still running
+	fatal   error // a worker panicked holding no morsel: fails the stream
 	started bool
 	stopped bool
 	wg      sync.WaitGroup
@@ -291,17 +295,34 @@ func (x *exchange) start() {
 
 func (x *exchange) worker() {
 	defer x.wg.Done()
+	// held is the seq of the morsel this worker claimed and has not yet
+	// delivered a parcel for; -1 between morsels.
+	held := -1
 	defer func() {
-		x.mu.Lock()
-		x.active--
-		if x.active == 0 {
-			x.cond.Broadcast()
+		// A panic in a stage (or the source) must not take the process
+		// down with it: the consumer gets one ErrInternal — at the held
+		// morsel's position in the stream, or, when no morsel was held and
+		// nobody knows what the stream lost, at its next pull.
+		var fatal error
+		if p := recover(); p != nil {
+			if err := panicError(p); held >= 0 {
+				x.deliver(held, &parcel{err: err})
+			} else {
+				fatal = err
+			}
 		}
+		x.mu.Lock()
+		if x.fatal == nil {
+			x.fatal = fatal
+		}
+		x.active--
+		x.cond.Broadcast()
 		x.mu.Unlock()
 	}()
 
 	c := x.chain()
 	for {
+		held = -1
 		m, err := x.src.NextMorsel()
 		if err != nil {
 			x.deliver(m.Seq, &parcel{err: err})
@@ -310,6 +331,7 @@ func (x *exchange) worker() {
 		if m.Rows == nil {
 			return
 		}
+		held = m.Seq
 		rows, keys, err := c.run(m.Rows)
 		if err != nil {
 			x.deliver(m.Seq, &parcel{err: err})
@@ -319,6 +341,13 @@ func (x *exchange) worker() {
 		// emission order stays contiguous.
 		x.deliver(m.Seq, &parcel{rows: rows, keys: keys})
 	}
+}
+
+// panicError turns a recovered panic of a pipeline goroutine into the error
+// its consumer sees, and logs the stack the error cannot carry.
+func panicError(p any) error {
+	slog.Error("engine: pipeline stage panicked", "panic", p, "stack", string(debug.Stack()))
+	return fmt.Errorf("%w: pipeline stage panicked: %v", ErrInternal, p)
 }
 
 // deliver hands one parcel to the reorder buffer, waiting while the worker
@@ -350,6 +379,9 @@ func (x *exchange) nextParcel() (*parcel, bool) {
 		if x.stopped {
 			return nil, false
 		}
+		if x.fatal != nil {
+			return &parcel{err: x.fatal}, true
+		}
 		if p, ok := x.buf[x.next]; ok {
 			delete(x.buf, x.next)
 			x.next++
@@ -365,14 +397,21 @@ func (x *exchange) nextParcel() (*parcel, bool) {
 
 // nextInline is the elided exchange: claim one morsel and run the stage
 // chain on the consumer's goroutine.
-func (x *exchange) nextInline() (*parcel, bool) {
+func (x *exchange) nextInline() (p *parcel, ok bool) {
 	if x.stopped {
 		return nil, false
 	}
+	// The one-worker twin of worker's boundary: same error, same place.
+	defer func() {
+		if r := recover(); r != nil {
+			x.current = parcel{err: panicError(r)}
+			p, ok = &x.current, true
+		}
+	}()
 	if x.sole == nil {
 		x.sole = x.chain()
 	}
-	p := &x.current
+	p = &x.current
 	m, err := x.src.NextMorsel()
 	if err != nil {
 		*p = parcel{err: err}

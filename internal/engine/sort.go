@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sort"
-
 	"paradise/internal/schema"
 	"paradise/internal/sqlparser"
 )
@@ -24,6 +22,42 @@ const (
 	srcEval
 )
 
+// planSortKeys resolves, once per query, where each ORDER BY key comes from,
+// mirroring orderKey's chain for a plain column reference: an unqualified
+// output name, then resolution against the output binding, then — when the
+// input is aligned with the output (inB non-nil) — the input binding.
+// needEval reports that some item stayed srcEval: an expression, or a
+// reference none of the three resolves.
+func planSortKeys(items []sqlparser.OrderItem, out *schema.Relation, outB, inB *binding) (srcs []keySrc, needEval bool) {
+	srcs = make([]keySrc, len(items))
+	for i, it := range items {
+		srcs[i] = keySrc{kind: srcEval}
+		c, ok := it.Expr.(*sqlparser.ColumnRef)
+		if !ok {
+			needEval = true
+			continue
+		}
+		if c.Table == "" {
+			if j, err := out.Index(c.Name); err == nil {
+				srcs[i] = keySrc{kind: srcOut, idx: j}
+				continue
+			}
+		}
+		if j, err := outB.resolve(c); err == nil {
+			srcs[i] = keySrc{kind: srcOut, idx: j}
+			continue
+		}
+		if inB != nil {
+			if j, err := inB.resolve(c); err == nil {
+				srcs[i] = keySrc{kind: srcIn, idx: j}
+				continue
+			}
+		}
+		needEval = true
+	}
+	return srcs, needEval
+}
+
 // sortResult orders the result rows by the ORDER BY items. Each item may
 // reference an output column (alias or projected name) or — when inputRows
 // is non-nil and aligned 1:1 with the output — any expression over the input
@@ -40,36 +74,12 @@ func sortResult(res *Result, inputRows schema.Rows, b *binding, items []sqlparse
 	n := len(res.Rows)
 	ks := newSortKeys(items)
 
-	srcs := make([]keySrc, len(items))
 	outB := bindingFromRelation(res.Schema, "")
-	needEval := false
-	for i, it := range items {
-		srcs[i] = keySrc{kind: srcEval}
-		c, ok := it.Expr.(*sqlparser.ColumnRef)
-		if !ok {
-			needEval = true
-			continue
-		}
-		// Mirror orderKey's chain: unqualified output name, then output
-		// binding resolution, then the aligned input row.
-		if c.Table == "" {
-			if j, err := res.Schema.Index(c.Name); err == nil {
-				srcs[i] = keySrc{kind: srcOut, idx: j}
-				continue
-			}
-		}
-		if j, err := outB.resolve(c); err == nil {
-			srcs[i] = keySrc{kind: srcOut, idx: j}
-			continue
-		}
-		if inputRows != nil && b != nil {
-			if j, err := b.resolve(c); err == nil {
-				srcs[i] = keySrc{kind: srcIn, idx: j}
-				continue
-			}
-		}
-		needEval = true
+	inB := b
+	if inputRows == nil {
+		inB = nil
 	}
+	srcs, needEval := planSortKeys(items, res.Schema, outB, inB)
 
 	// Expression keys first, row-major, so an evaluation error surfaces for
 	// the same (row, item) as the row-at-a-time path would report.
@@ -106,25 +116,8 @@ func sortResult(res *Result, inputRows schema.Rows, b *binding, items []sqlparse
 		}
 	}
 
-	if limit >= 0 && limit < n && !ks.hasNaN() {
-		perm := ks.topK(n, limit)
-		sorted := make(schema.Rows, len(perm))
-		for i, p := range perm {
-			sorted[i] = res.Rows[p]
-		}
-		res.Rows = sorted
-		return nil
-	}
-
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, c int) bool {
-		return ks.less(perm[a], perm[c])
-	})
-
-	sorted := make(schema.Rows, n)
+	perm := ks.perm(n, limit)
+	sorted := make(schema.Rows, len(perm))
 	for i, p := range perm {
 		sorted[i] = res.Rows[p]
 	}

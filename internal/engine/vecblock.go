@@ -10,7 +10,8 @@ import (
 
 // This file wires whole query-block shapes onto the columnar scan when the
 // block's work can run over vectors: DISTINCT over plain columns
-// (vecDistinctIter below) and grouped aggregation (vecgroup.go). Both paths
+// (vecDistinctIter below), grouped aggregation (vecgroup.go) and ORDER BY
+// over plain columns (vecsort.go). All of them
 // share the compiled scan (vecscan.go) and decline — ok=false, no error —
 // whenever any piece of the block needs the row-at-a-time machinery, so the
 // row path remains the single source of truth for full SQL semantics.
@@ -44,8 +45,11 @@ func (e *Engine) openVecBlock(ctx context.Context, s *plan.Scan, blk *plan.Block
 	case blk.Agg != nil:
 		rel, it, err = e.openVecGrouped(ctx, cs, s, blk)
 		return rel, it, DeclineBreaker, err
-	case blk.Win != nil || blk.Sort != nil:
+	case blk.Win != nil:
 		return nil, nil, DeclineBreaker, nil
+	case blk.Sort != nil:
+		rel, it, err = e.openVecSorted(ctx, cs, s, blk)
+		return rel, it, DeclineBreaker, err
 	case blk.Distinct != nil:
 		rel, it, err = e.openVecDistinct(ctx, cs, s, blk)
 		return rel, it, DeclineDistinct, err

@@ -1,0 +1,406 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"paradise/internal/plan"
+	"paradise/internal/schema"
+	"paradise/internal/storage"
+)
+
+// The two breakers consume column batches natively (vecgroup.go: typed group
+// assignment and unboxed accumulator feed; vecblock.go/vecsort.go: sort keys
+// off the vectors, rows pivoted after the permutation). These tests hold
+// every corner the typed paths could cut against the row path — evalGrouped
+// and evalBroken over a rowOnly source — which stays the reference.
+
+// breakerStore builds m(k, kn, i, ni, s, sn, ts, v, seq): 1 100 rows, so a
+// scan crosses several batches, whose key columns collide in all the awkward
+// ways. seq is the arrival position, which makes tie order visible in any
+// result. k, i and s hold no NULL, so their vectors stay dense and take the
+// typed paths; kn, ni and sn are the same values with NULLs among them.
+//
+//	k  float: 1.5, +0.0, -0.0 (bit-distinct, compare equal), two NaN payloads,
+//	   +Inf
+//	i  int:   2^53 and 2^53+1 (one float64, so one group), small values
+//	s  string: "", "a", "ab", "a\x00"
+//	ts time:  three instants, each written in UTC and in a +02:00 zone
+//	v  float: magnitudes that make a float sum depend on its order
+func breakerStore(t testing.TB) *storage.Store {
+	t.Helper()
+	st := storage.NewStore()
+	tb := st.Create(schema.NewRelation("m",
+		schema.Col("k", schema.TypeFloat),
+		schema.Col("kn", schema.TypeFloat),
+		schema.Col("i", schema.TypeInt),
+		schema.Col("ni", schema.TypeInt),
+		schema.Col("s", schema.TypeString),
+		schema.Col("sn", schema.TypeString),
+		schema.Col("ts", schema.TypeTime),
+		schema.Col("v", schema.TypeFloat),
+		schema.Col("seq", schema.TypeInt),
+	))
+	nan2 := math.Float64frombits(0x7ff8000000000abc)
+	ks := []schema.Value{schema.Float(1.5), schema.Float(0), schema.Float(math.Copysign(0, -1)),
+		schema.Float(math.NaN()), schema.Float(nan2), schema.Float(math.Inf(1))}
+	is := []schema.Value{schema.Int(1 << 53), schema.Int(1<<53 + 1), schema.Int(3), schema.Int(-3)}
+	ss := []schema.Value{schema.String(""), schema.String("a"), schema.String("ab"), schema.String("a\x00")}
+	orNull := func(v schema.Value, n int) schema.Value {
+		if n%5 == 4 {
+			return schema.Null()
+		}
+		return v
+	}
+	vs := []float64{0.1, 1e16, -1e16, 3.25, 1e-9, -7}
+	east := time.FixedZone("east", 2*3600)
+	rows := make(schema.Rows, 0, 1100)
+	for n := 0; n < 1100; n++ {
+		at := time.Unix(1458045000+int64(n%3)*60, 0)
+		if n%2 == 0 {
+			at = at.UTC()
+		} else {
+			at = at.In(east)
+		}
+		k, i, s := ks[(n/3)%len(ks)], is[(n/2)%len(is)], ss[n%len(ss)]
+		rows = append(rows, schema.Row{
+			k, orNull(k, n), i, orNull(i, n+1), s, orNull(s, n+2), schema.Time(at),
+			schema.Float(vs[n%len(vs)] * float64(1+n%11)), schema.Int(int64(n)),
+		})
+	}
+	if err := tb.Append(rows...); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// requireVecBreaker fails unless the engine's whole-block breaker kernel
+// takes the statement: without it an equivalence check compares the row path
+// with itself.
+func requireVecBreaker(t *testing.T, eng *Engine, sql string) {
+	t.Helper()
+	root := plan.Optimize(mustPlan(t, sql), plan.Options{Catalog: eng.Catalog(), CrossBlock: true})
+	blk, src := plan.SplitBlock(root)
+	scan, ok := src.(*plan.Scan)
+	if !ok {
+		t.Fatalf("%q: not a single-table block", sql)
+	}
+	_, it, why, err := eng.openVecBlock(context.Background(), scan, blk)
+	if err != nil {
+		return // the equivalence check compares the error
+	}
+	if it == nil {
+		t.Fatalf("%q: the vectorized breaker declined", sql)
+	}
+	it.Close()
+	if why != DeclineBreaker {
+		t.Fatalf("%q: decline = %q, want %q", sql, why, DeclineBreaker)
+	}
+}
+
+func TestVecGroupByMatchesRowPath(t *testing.T) {
+	st := breakerStore(t)
+	for _, sql := range []string{
+		// One dense key column of each typed front.
+		"SELECT s, COUNT(*) AS n, SUM(v) AS sv, AVG(v) AS av FROM m GROUP BY s",
+		"SELECT seq, COUNT(*) AS n, SUM(v) AS sv FROM m GROUP BY seq",
+		"SELECT ts, COUNT(*) AS n, AVG(v) AS av, MIN(seq) AS lo, MAX(seq) AS hi FROM m GROUP BY ts",
+		// -0.0 and +0.0 are two groups, every NaN one, 2^53 and 2^53+1 one:
+		// on the typed fronts, and with NULLs among them on the encoded path.
+		"SELECT k, COUNT(*) AS n, SUM(v) AS sv, AVG(v) AS av FROM m GROUP BY k",
+		"SELECT i, COUNT(*) AS n, SUM(i) AS si, AVG(i) AS ai FROM m GROUP BY i",
+		"SELECT kn, COUNT(*) AS n, SUM(v) AS sv, AVG(v) AS av FROM m GROUP BY kn",
+		"SELECT ni, COUNT(*) AS n, SUM(ni) AS si, AVG(ni) AS ai FROM m GROUP BY ni",
+		"SELECT sn, COUNT(*) AS n, COUNT(sn) AS ns, COUNT(kn) AS nk, COUNT(ts) AS nt FROM m GROUP BY sn",
+		// Several key columns: the encoded key.
+		"SELECT s, i, COUNT(*) AS n, SUM(v) AS sv FROM m GROUP BY s, i",
+		// Every accumulator with an unboxed entry, over floats and ints, NULLs
+		// and NaNs included; the ones without (DISTINCT, regr_*, string MIN).
+		"SELECT ts, SUM(kn) AS a, AVG(kn) AS b, MIN(kn) AS c, MAX(kn) AS d, STDDEV(kn) AS e, VARIANCE(v) AS f, COUNT(kn) AS g FROM m GROUP BY ts",
+		"SELECT ts, SUM(ni) AS a, AVG(ni) AS b, MIN(ni) AS c, MAX(ni) AS d, STDDEV(ni) AS e, COUNT(ni) AS g FROM m GROUP BY ts",
+		"SELECT s, MIN(v) AS a, MAX(v) AS b, MIN(seq) AS c, MAX(seq) AS d, SUM(seq) AS e FROM m GROUP BY s",
+		"SELECT ts, COUNT(DISTINCT sn) AS a, SUM(DISTINCT i) AS b, REGR_SLOPE(v, seq) AS c, MIN(sn) AS d, MAX(ts) AS e FROM m GROUP BY ts",
+		// No GROUP BY: one group, also over nothing.
+		"SELECT COUNT(*) AS n, SUM(v) AS sv, AVG(v) AS av, MIN(v) AS lo, MAX(ni) AS hi FROM m",
+		"SELECT COUNT(*) AS n, SUM(v) AS sv, AVG(v) AS av FROM m WHERE seq > 5000",
+		// A filter kernel and a residual in front: Sel is set.
+		"SELECT s, SUM(v) AS sv, COUNT(*) AS n FROM m WHERE v > 0 GROUP BY s",
+		"SELECT ts, AVG(v) AS av FROM m WHERE seq % 7 = 3 GROUP BY ts HAVING COUNT(*) > 10",
+	} {
+		for _, workers := range []int{1, 4} {
+			eng := New(st).WithParallelism(workers)
+			requireVecBreaker(t, eng, sql)
+			checkEquivalenceEngine(t, eng, st, sql)
+		}
+	}
+}
+
+// batchSource serves hand-built column batches: what a stage source hands
+// the next stage's kernels, which a store never produces — a key column
+// whose vector changes type, gains a mask or arrives boxed between batches,
+// batches that carry a selection. Relation pivots the same batches, so
+// rowOnly{src} is the reference over identical input.
+type batchSource struct {
+	rel     *schema.Relation
+	batches []*schema.ColBatch
+	pulled  int         // batches handed out by the last scan
+	onPull  func(n int) // called before the n-th (0-based) batch is handed out
+}
+
+func (b *batchSource) Relation(string) (*schema.Relation, schema.Rows, error) {
+	var rows schema.Rows
+	for _, cb := range b.batches {
+		rows = append(rows, cb.Rows()...)
+	}
+	return b.rel, rows, nil
+}
+
+func (b *batchSource) OpenColScan(ctx context.Context, _ string, sc schema.ColScan) (schema.ColIterator, error) {
+	b.pulled = 0
+	return &batchScan{ctx: ctx, src: b, cols: sc.Columns}, nil
+}
+
+func (b *batchSource) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
+	ci, err := b.OpenColScan(ctx, name, sc)
+	return schema.ShareColIterator(ci), err
+}
+
+type batchScan struct {
+	ctx  context.Context
+	src  *batchSource
+	cols []int
+}
+
+func (s *batchScan) NextBatch() (*schema.ColBatch, error) {
+	if s.src.pulled == len(s.src.batches) {
+		return nil, nil
+	}
+	if s.src.onPull != nil {
+		s.src.onPull(s.src.pulled)
+	}
+	if err := s.ctx.Err(); err != nil {
+		return nil, err
+	}
+	cb := s.src.batches[s.src.pulled]
+	s.src.pulled++
+	if s.cols == nil {
+		return cb, nil
+	}
+	out := &schema.ColBatch{Rel: cb.Rel.Project(s.cols), N: cb.N, Sel: cb.Sel, Vecs: make([]schema.ColVec, len(s.cols))}
+	for k, c := range s.cols {
+		out.Vecs[k] = cb.Vecs[c]
+	}
+	return out, nil
+}
+
+func (s *batchScan) Close() {}
+
+// vecOf builds a vector of the declared type; a value of another type boxes
+// it, a NULL gives it a mask.
+func vecOf(typ schema.Type, vals ...schema.Value) schema.ColVec {
+	v := schema.NewColVec(typ)
+	for _, val := range vals {
+		v.Append(val)
+	}
+	return v
+}
+
+func ints(xs ...int64) []schema.Value {
+	out := make([]schema.Value, len(xs))
+	for i, x := range xs {
+		out[i] = schema.Int(x)
+	}
+	return out
+}
+
+func floats(xs ...float64) []schema.Value {
+	out := make([]schema.Value, len(xs))
+	for i, x := range xs {
+		out[i] = schema.Float(x)
+	}
+	return out
+}
+
+// mixedBatches is g(k, v) in five batches: k arrives as a typed int vector,
+// then as a float vector (1.0 and 3.0 must join the groups of 1 and 3), then
+// with a NULL mask, then boxed, then typed again; v changes from floats to
+// ints to a boxed vector holding a string and back. The third batch carries
+// a selection that drops its middle row.
+func mixedBatches() *batchSource {
+	rel := schema.NewRelation("g", schema.Col("k", schema.TypeInt), schema.Col("v", schema.TypeFloat))
+	null := schema.Null()
+	mk := func(k, v schema.ColVec, sel []int) *schema.ColBatch {
+		return &schema.ColBatch{Rel: rel, Vecs: []schema.ColVec{k, v}, N: k.Len(), Sel: sel}
+	}
+	return &batchSource{rel: rel, batches: []*schema.ColBatch{
+		mk(vecOf(schema.TypeInt, ints(1, 2, 1, 3)...), vecOf(schema.TypeFloat, floats(0.1, 0.2, 0.3, 1e16)...), nil),
+		mk(vecOf(schema.TypeFloat, floats(1, 2.5, 3, math.NaN())...), vecOf(schema.TypeInt, ints(7, -7, 1<<53, 5)...), nil),
+		mk(vecOf(schema.TypeInt, null, schema.Int(2), null), vecOf(schema.TypeFloat, schema.Float(-1e16), null, schema.Float(4)), []int{0, 2}),
+		mk(vecOf(schema.TypeInt, schema.String("x"), schema.Int(1), schema.Float(2.5), null, schema.Float(math.NaN())),
+			vecOf(schema.TypeFloat, schema.Float(1), schema.String("not a number"), schema.Int(3), null, schema.Float(0.5)), nil),
+		mk(vecOf(schema.TypeInt, ints(4, 1, 2)...), vecOf(schema.TypeFloat, floats(1e-3, 2e-3, 3e-3)...), nil),
+	}}
+}
+
+// TestVecGroupByOneTableAcrossRepresentations: whatever representation a
+// batch's key vector has, its rows land in the one group table — first-seen
+// order kept, 1 and 1.0 merged, NaN with NaN — and whatever representation
+// the argument vector has, each accumulator ends where the boxed fold does,
+// bit for bit.
+func TestVecGroupByOneTableAcrossRepresentations(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT k, COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS sv, AVG(v) AS av, MIN(v) AS lo, MAX(v) AS hi, STDDEV(v) AS sd FROM g GROUP BY k",
+		"SELECT k, v, COUNT(*) AS n FROM g GROUP BY k, v",
+		"SELECT SUM(v) AS sv, AVG(v) AS av, MIN(k) AS lo, MAX(k) AS hi, COUNT(k) AS nk FROM g",
+		"SELECT k, SUM(v) AS sv FROM g WHERE k IS NOT NULL GROUP BY k",
+	} {
+		src := mixedBatches()
+		eng := New(src)
+		requireVecBreaker(t, eng, sql)
+		vres, verr := eng.Query(context.Background(), sql)
+		rres, rerr := New(rowOnly{src}).Query(context.Background(), sql)
+		requireSameResult(t, sql, vres, verr, rres, rerr)
+	}
+	// The first statement again, by hand: first-seen group order.
+	res, err := New(mixedBatches()).Query(context.Background(), "SELECT k, COUNT(*) AS n FROM g GROUP BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range res.Rows {
+		got = append(got, r[0].Format()+":"+r[1].Format())
+	}
+	if want := "[1:5 2:2 3:2 2.5:2 NaN:2 NULL:3 x:1 4:1]"; fmt.Sprint(got) != want {
+		t.Fatalf("groups = %v, want %s", got, want)
+	}
+}
+
+func TestVecOrderByMatchesRowPath(t *testing.T) {
+	st := breakerStore(t)
+	for _, sql := range []string{
+		// Ties keep arrival order (seq shows it); ascending, descending, NULLs.
+		"SELECT seq, i FROM m ORDER BY i",
+		"SELECT seq, ni FROM m ORDER BY ni",
+		"SELECT seq, sn FROM m ORDER BY sn DESC",
+		"SELECT seq, ts FROM m ORDER BY ts DESC LIMIT 50",
+		"SELECT * FROM m ORDER BY s LIMIT 9",
+		// Several keys, mixed directions.
+		"SELECT seq, s, i FROM m ORDER BY s DESC, i, v DESC",
+		"SELECT seq FROM m ORDER BY sn, ni DESC LIMIT 33",
+		// A key that is not in the select list.
+		"SELECT seq FROM m ORDER BY v",
+		"SELECT seq, s FROM m ORDER BY v DESC, ts LIMIT 20",
+		// An alias that shadows a source column: the unqualified name is the
+		// output column, the qualified one the source's.
+		"SELECT v AS i, i AS v, seq FROM m ORDER BY i LIMIT 40",
+		"SELECT v AS i, i AS v, seq FROM m ORDER BY m.i, seq LIMIT 40",
+		"SELECT v AS i, seq FROM m ORDER BY i DESC",
+		// NaN in the key, in a dense vector and in a masked one: top-K must
+		// not run, with or without LIMIT.
+		"SELECT seq, k FROM m ORDER BY k",
+		"SELECT seq, k FROM m ORDER BY k DESC LIMIT 17",
+		"SELECT seq, kn FROM m ORDER BY kn LIMIT 17",
+		"SELECT seq FROM m ORDER BY k, s DESC LIMIT 300",
+		// LIMIT 0, LIMIT beyond the input, LIMIT at the input's size.
+		"SELECT seq, v FROM m ORDER BY v LIMIT 0",
+		"SELECT seq, v FROM m ORDER BY v LIMIT 100000",
+		"SELECT seq, v FROM m ORDER BY v LIMIT 1100",
+		// Filters in front — a kernel, a residual, one nothing passes — leave
+		// batches with a selection.
+		"SELECT seq, v FROM m WHERE v > 0 ORDER BY v DESC LIMIT 25",
+		"SELECT seq, i FROM m WHERE seq % 5 = 1 AND sn IS NOT NULL ORDER BY i DESC, seq DESC",
+		"SELECT seq FROM m WHERE seq < 0 ORDER BY v LIMIT 3",
+	} {
+		for _, workers := range []int{1, 4} {
+			eng := New(st).WithParallelism(workers)
+			requireVecBreaker(t, eng, sql)
+			checkEquivalenceEngine(t, eng, st, sql)
+		}
+	}
+	// What the vectorized sort leaves to evalBroken, which then answers.
+	for _, sql := range []string{
+		"SELECT seq, v FROM m ORDER BY v * 2 LIMIT 5",
+		"SELECT seq, v + 1 AS w FROM m ORDER BY w LIMIT 5",
+		"SELECT DISTINCT s FROM m ORDER BY s",
+		"SELECT seq, ROW_NUMBER() OVER (ORDER BY seq) AS rn FROM m ORDER BY v LIMIT 5",
+	} {
+		checkEquivalence(t, st, sql)
+	}
+}
+
+// TestVecOrderByOverStageBatches sorts what a stage boundary delivers: key
+// vectors that change representation between batches (the KeyCol degrades
+// exactly like one fed boxed values) and a batch that arrives with Sel set.
+func TestVecOrderByOverStageBatches(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT k, v FROM g ORDER BY k",
+		"SELECT v FROM g ORDER BY k DESC, v LIMIT 4",
+		"SELECT k FROM g ORDER BY v LIMIT 6",
+		"SELECT k, v FROM g WHERE k IS NOT NULL ORDER BY v DESC",
+	} {
+		src := mixedBatches()
+		eng := New(src)
+		requireVecBreaker(t, eng, sql)
+		vres, verr := eng.Query(context.Background(), sql)
+		rres, rerr := New(rowOnly{src}).Query(context.Background(), sql)
+		requireSameResult(t, sql, vres, verr, rres, rerr)
+	}
+}
+
+// TestVecBreakersStopOnCancel: a context cancelled between two batches ends
+// both breakers' drains at the next pull with the context's error, like the
+// row path's, and nothing further is read.
+func TestVecBreakersStopOnCancel(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT k, v FROM g ORDER BY v LIMIT 2",
+		"SELECT k, SUM(v) AS sv FROM g GROUP BY k",
+	} {
+		src := mixedBatches()
+		ctx, cancel := context.WithCancel(context.Background())
+		src.onPull = func(n int) {
+			if n == 2 {
+				cancel()
+			}
+		}
+		_, err := New(src).Query(ctx, sql)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%q: err = %v, want context.Canceled", sql, err)
+		}
+		if src.pulled != 2 {
+			t.Fatalf("%q: %d batches read, want the scan to stop at 2", sql, src.pulled)
+		}
+		src.onPull = nil
+		if _, rerr := New(rowOnly{src}).Query(ctx, sql); !errors.Is(rerr, context.Canceled) {
+			t.Fatalf("%q: row path err = %v, want context.Canceled", sql, rerr)
+		}
+		cancel()
+	}
+}
+
+// TestBreakerAllocationBudget: the breakers allocate per batch, per group
+// and per returned row, never per input row. 100 000 rows arrive in 391
+// batches (two allocations each, the scan's window); a typed GROUP BY and an
+// ORDER BY … LIMIT 20 over them must stay under one allocation per 50 input
+// rows (measured: 0.0185 and 0.0146; at the parent commit 0.0215 and
+// 0.0185, plus the bytes of every boxed key and pivoted row).
+func TestBreakerAllocationBudget(t *testing.T) {
+	const n = 100_000
+	eng := New(benchStore(t, n))
+	for _, sql := range []string{
+		"SELECT cell, AVG(z) AS za, COUNT(*) AS n FROM d GROUP BY cell",
+		"SELECT x, y FROM d ORDER BY z DESC LIMIT 20",
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := eng.Query(context.Background(), sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perRow := allocs / n; perRow > 0.02 {
+			t.Errorf("%q: %.0f allocations for %d input rows (%.4f per row), budget 0.02", sql, allocs, n, perRow)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"context"
+	"sort"
+
+	"paradise/internal/plan"
 	"paradise/internal/schema"
 	"paradise/internal/sqlparser"
 )
@@ -81,6 +85,27 @@ func (ks *sortKeys) lessStrict(a, b int) bool {
 	return a < b
 }
 
+// perm is the order in which the n appended rows leave an ORDER BY, cut to
+// the first limit of them when limit is in [0, n): top-K selection when no
+// key saw a NaN, else the full stable sort (the one deterministic answer
+// under a comparator NaN makes non-transitive), truncated afterwards.
+func (ks *sortKeys) perm(n, limit int) []int {
+	if limit < 0 || limit > n {
+		limit = n
+	}
+	if limit < n && !ks.hasNaN() {
+		return ks.topK(n, limit)
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(a, c int) bool {
+		return ks.less(perm[a], perm[c])
+	})
+	return perm[:limit]
+}
+
 // topK selects the first k rows of the full stable sort of n rows without
 // sorting all n, using a bounded max-heap under lessStrict (the heap root
 // is the largest retained row; anything beating it displaces it). The
@@ -127,4 +152,137 @@ func (ks *sortKeys) siftDown(h []int, i int) {
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
+}
+
+// openVecSorted runs ORDER BY [LIMIT] over a single-table block whose select
+// list and sort keys are all plain columns, without the row path's pivot of
+// the whole input: the sort keys come straight off the key vectors
+// (drainSortKeys), the same typed comparator, top-K heap and NaN rule as
+// sortResult order them, and only the rows of the final permutation — the
+// LIMIT's 20 of 240 000 — are ever built. Expression keys or items, DISTINCT
+// and windows stay with evalBroken, the reference.
+func (e *Engine) openVecSorted(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, error) {
+	if blk.Distinct != nil {
+		return nil, nil, nil
+	}
+	p, rel, ok := e.vecBlockScan(s, blk)
+	if !ok {
+		return nil, nil, nil
+	}
+	// The row path binds select list and sort keys to the scan's output
+	// columns, never to the residual-only tail of the load layout.
+	ob := &binding{cols: p.lb.cols[:p.m]}
+	proj, err := buildProjector(blk.Items(), ob)
+	if err != nil {
+		return nil, nil, nil // row path reports the projection error
+	}
+	srcIdx, ok := projOutMap(proj)
+	if !ok {
+		return nil, nil, nil
+	}
+	srcs, needEval := planSortKeys(blk.Sort.By, proj.rel, bindingFromRelation(proj.rel, ""), ob)
+	if needEval {
+		return nil, nil, nil
+	}
+	keyCols := make([]int, len(srcs))
+	for i, src := range srcs {
+		keyCols[i] = src.idx
+		if src.kind == srcOut {
+			keyCols[i] = srcIdx[src.idx]
+		}
+	}
+
+	ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer ci.Close()
+	// An identity pass over the load layout: filtered, owned batches.
+	pass := &vecPassIter{ctx: ctx, src: ci, ex: newVecExec(p), orel: p.lrel}
+	run, err := drainSortKeys(pass, keyCols, blk.Sort.By)
+	if err != nil {
+		return nil, nil, err
+	}
+	limit := -1
+	if blk.Limit != nil {
+		if limit = int(blk.Limit.N); limit < 0 {
+			limit = 0
+		}
+	}
+	rows := run.pivot(run.keys.perm(run.len(), limit), srcIdx)
+	return proj.rel, schema.WithContext(ctx, schema.IterateRows(rows, schema.DefaultBatchSize)), nil
+}
+
+// vecSortRun is the drained input of a vectorized ORDER BY: the surviving
+// batches, retained as they were pulled (the columnar ownership rule lets a
+// consumer keep a batch: vectors are read-only windows, header and Sel its
+// own), and their sort keys, appended from the key vectors without boxing
+// an element. No row exists yet — pivot builds them, cell by cell, once the
+// permutation says which ones leave.
+type vecSortRun struct {
+	batches []*schema.ColBatch
+	// ends[b] counts the live rows of batches[:b+1]: live row g of the
+	// whole input sits in the first batch b with ends[b] > g.
+	ends []int
+	keys *sortKeys
+}
+
+// drainSortKeys pulls pass dry. keyCols[i] is the position, in the batches'
+// layout, of the i-th ORDER BY key.
+func drainSortKeys(pass *vecPassIter, keyCols []int, items []sqlparser.OrderItem) (*vecSortRun, error) {
+	run := &vecSortRun{keys: newSortKeys(items)}
+	total := 0
+	for {
+		cb, err := pass.pull(true)
+		if err != nil {
+			return nil, err
+		}
+		if cb == nil {
+			return run, nil
+		}
+		for i, c := range keyCols {
+			run.keys.cols[i].AppendVec(&cb.Vecs[c], cb.N, cb.Sel)
+		}
+		total += cb.Len()
+		run.batches = append(run.batches, cb)
+		run.ends = append(run.ends, total)
+	}
+}
+
+// len is the number of live rows drained.
+func (r *vecSortRun) len() int {
+	if len(r.ends) == 0 {
+		return 0
+	}
+	return r.ends[len(r.ends)-1]
+}
+
+// locate maps live row g of the whole input to its batch and the physical
+// row inside it.
+func (r *vecSortRun) locate(g int) (*schema.ColBatch, int) {
+	b := sort.SearchInts(r.ends, g+1)
+	cb := r.batches[b]
+	if b > 0 {
+		g -= r.ends[b-1]
+	}
+	return cb, liveRow(cb.Sel, g)
+}
+
+// pivot builds the output rows of a sorted run: for each live row of perm,
+// in that order, the columns srcIdx names. One backing array for all values.
+// This is the sort's only pivot (scripts/vecguard.sh keeps the batch-wide
+// ones out of this file): nothing is boxed for a row that does not leave.
+func (r *vecSortRun) pivot(perm, srcIdx []int) schema.Rows {
+	w := len(srcIdx)
+	vals := make([]schema.Value, len(perm)*w)
+	out := make(schema.Rows, len(perm))
+	for k, g := range perm {
+		cb, i := r.locate(g)
+		row := vals[k*w : (k+1)*w : (k+1)*w]
+		for c, src := range srcIdx {
+			row[c] = cb.Vecs[src].Value(i)
+		}
+		out[k] = row
+	}
+	return out
 }

@@ -114,6 +114,77 @@ func (k *KeyCol) Append(v Value) {
 	k.n++
 }
 
+// AppendVec adds the live elements of a column vector — the first n
+// physical positions, or the positions sel lists — exactly as appending
+// each element's boxed Value would, without boxing: a dense typed vector
+// whose type the column already has (or can still take) is copied payload
+// to payload. Vectors with a NULL mask, boxed vectors and type changes go
+// element by element through Append, which owns masks and degradation.
+func (k *KeyCol) AppendVec(v *ColVec, n int, sel []int) {
+	if v.Box != nil || v.Nulls != nil || k.box != nil || (k.typ != TypeNull && k.typ != v.Typ) {
+		if sel == nil {
+			for i := 0; i < n; i++ {
+				k.Append(v.Value(i))
+			}
+		} else {
+			for _, i := range sel {
+				k.Append(v.Value(i))
+			}
+		}
+		return
+	}
+	live := n
+	if sel != nil {
+		live = len(sel)
+	}
+	if live == 0 {
+		return
+	}
+	if k.typ == TypeNull {
+		// Like Append's first non-NULL value: fix the payload type and
+		// backfill the slots behind the NULLs seen so far.
+		k.typ = v.Typ
+		for i := 0; i < k.n; i++ {
+			k.appendZero()
+		}
+	}
+	if k.nulls != nil {
+		k.nulls = append(k.nulls, make([]bool, live)...)
+	}
+	switch k.typ {
+	case TypeBool:
+		k.bools = appendLive(k.bools, v.Bools, n, sel)
+	case TypeInt:
+		k.ints = appendLive(k.ints, v.Ints, n, sel)
+	case TypeFloat:
+		k.floats = appendLive(k.floats, v.Floats, n, sel)
+		if !k.nan {
+			for _, f := range k.floats[len(k.floats)-live:] {
+				if f != f {
+					k.nan = true
+					break
+				}
+			}
+		}
+	case TypeString:
+		k.strs = appendLive(k.strs, v.Strs, n, sel)
+	case TypeTime:
+		k.times = appendLive(k.times, v.Times, n, sel)
+	}
+	k.n += live
+}
+
+// appendLive appends a payload's live elements: src[:n], or src at sel.
+func appendLive[T any](dst, src []T, n int, sel []int) []T {
+	if sel == nil {
+		return append(dst, src[:n]...)
+	}
+	for _, i := range sel {
+		dst = append(dst, src[i])
+	}
+	return dst
+}
+
 func (k *KeyCol) appendZero() {
 	switch k.typ {
 	case TypeBool:

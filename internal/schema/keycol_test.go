@@ -99,3 +99,64 @@ func TestKeyColLeadingNulls(t *testing.T) {
 		t.Fatal("Int(0) vs Int(-1) ordered wrong")
 	}
 }
+
+// TestKeyColAppendVecMatchesAppend pins the typed bulk append against the
+// boxed one: for random streams of batches — typed, NULL-bearing, boxed by a
+// stray value, a type change between batches, dense and under a selection —
+// a column fed by AppendVec must compare every pair, and report NaN, exactly
+// like one fed the same live values through Append.
+func TestKeyColAppendVecMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for round := 0; round < 300; round++ {
+		var got, want KeyCol
+		mode := rng.Intn(5)
+		for b := rng.Intn(4) + 1; b > 0; b-- {
+			if rng.Intn(8) == 0 {
+				mode = rng.Intn(5) // the column's type changes mid-stream
+			}
+			typ := []Type{TypeInt, TypeFloat, TypeString, TypeBool, TypeTime}[mode]
+			v := NewColVec(typ)
+			n := rng.Intn(12)
+			dense := rng.Intn(2) == 0
+			for i := 0; i < n; i++ {
+				val := keyColGen(rng, mode)
+				for dense && val.IsNull() {
+					val = keyColGen(rng, mode)
+				}
+				if rng.Intn(40) == 0 {
+					val = keyColGen(rng, -1) // may box the vector
+				}
+				v.Append(val)
+			}
+			var sel []int
+			if rng.Intn(2) == 0 {
+				sel = []int{}
+				for i := 0; i < n; i++ {
+					if rng.Intn(2) == 0 {
+						sel = append(sel, i)
+					}
+				}
+			}
+			got.AppendVec(&v, n, sel)
+			if sel == nil {
+				for i := 0; i < n; i++ {
+					want.Append(v.Value(i))
+				}
+			} else {
+				for _, i := range sel {
+					want.Append(v.Value(i))
+				}
+			}
+		}
+		if got.Len() != want.Len() || got.HasNaN() != want.HasNaN() {
+			t.Fatalf("round %d: Len/HasNaN = %d/%v, want %d/%v", round, got.Len(), got.HasNaN(), want.Len(), want.HasNaN())
+		}
+		for i := 0; i < got.Len(); i++ {
+			for j := 0; j < got.Len(); j++ {
+				if g, w := got.Compare(i, j), want.Compare(i, j); g != w {
+					t.Fatalf("round %d: Compare(%d,%d) = %d, want %d", round, i, j, g, w)
+				}
+			}
+		}
+	}
+}

@@ -523,14 +523,27 @@ func encodeColVec(dst []byte, v *schema.ColVec, n int) []byte {
 	return dst
 }
 
+// decodeColVec is the inverse of encodeColVec over exactly one region: it
+// returns a vector of n elements or an error, never panics whatever the
+// bytes, and accepts only what the encoder writes — mask and bool bytes are
+// 0 or 1, string lengths minimal uvarints, nothing trails the last element —
+// so a region that decodes re-encodes to the same bytes (FuzzDecodeColVec).
+// Every count is checked against the bytes present before anything of that
+// size is allocated.
 func decodeColVec(src []byte, typ schema.Type, n int) (schema.ColVec, error) {
 	if len(src) < 1 {
 		return schema.ColVec{}, errors.New("empty region")
+	}
+	if n < 0 {
+		return schema.ColVec{}, fmt.Errorf("negative row count %d", n)
 	}
 	layout := src[0]
 	src = src[1:]
 	v := schema.NewColVec(typ)
 	if layout == colBoxed {
+		if n > len(src) { // a boxed value is at least its tag byte
+			return schema.ColVec{}, errors.New("truncated boxed payload")
+		}
 		box := make([]schema.Value, n)
 		for i := 0; i < n; i++ {
 			var err error
@@ -538,6 +551,9 @@ func decodeColVec(src []byte, typ schema.Type, n int) (schema.ColVec, error) {
 			if err != nil {
 				return schema.ColVec{}, err
 			}
+		}
+		if len(src) != 0 {
+			return schema.ColVec{}, errors.New("trailing bytes")
 		}
 		v.Box = box
 		return v, nil
@@ -547,63 +563,83 @@ func decodeColVec(src []byte, typ schema.Type, n int) (schema.ColVec, error) {
 		if len(src) < n {
 			return schema.ColVec{}, errors.New("truncated null mask")
 		}
-		nulls = make([]bool, n)
-		for i := range nulls {
-			nulls[i] = src[i] != 0
+		var err error
+		if nulls, err = decodeBools(src[:n]); err != nil {
+			return schema.ColVec{}, err
 		}
 		src = src[n:]
 	} else if layout != colDense {
 		return schema.ColVec{}, fmt.Errorf("unknown layout %d", layout)
 	}
 	v.Nulls = nulls
+	width := 8 // bytes per element; 0: variable (strings, at least one each)
 	switch typ {
 	case schema.TypeBool:
-		if len(src) < n {
-			return schema.ColVec{}, errors.New("truncated bool payload")
-		}
-		v.Bools = make([]bool, n)
-		for i := range v.Bools {
-			v.Bools[i] = src[i] != 0
+		width = 1
+	case schema.TypeString:
+		width = 0
+	case schema.TypeInt, schema.TypeFloat, schema.TypeTime:
+	default:
+		return schema.ColVec{}, fmt.Errorf("undecodable declared type %v", typ)
+	}
+	// n <= len(src) also keeps width*n from overflowing.
+	if n > len(src) || (width > 0 && width*n != len(src)) {
+		return schema.ColVec{}, fmt.Errorf("%d payload bytes do not hold %d rows of %v", len(src), n, typ)
+	}
+	switch typ {
+	case schema.TypeBool:
+		var err error
+		if v.Bools, err = decodeBools(src); err != nil {
+			return schema.ColVec{}, err
 		}
 	case schema.TypeInt:
-		if len(src) < 8*n {
-			return schema.ColVec{}, errors.New("truncated int payload")
-		}
 		v.Ints = make([]int64, n)
 		for i := range v.Ints {
 			v.Ints[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	case schema.TypeFloat:
-		if len(src) < 8*n {
-			return schema.ColVec{}, errors.New("truncated float payload")
-		}
 		v.Floats = make([]float64, n)
 		for i := range v.Floats {
 			v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	case schema.TypeString:
+		// One backing string for the whole region, the values sliced out of
+		// it: two allocations a column instead of one a row.
+		whole := string(src)
 		v.Strs = make([]string, n)
+		off := 0
 		for i := range v.Strs {
-			l, k := binary.Uvarint(src)
-			if k <= 0 || uint64(len(src)-k) < l {
+			l, k := binary.Uvarint(src[off:])
+			if k <= 0 || uint64(len(src)-off-k) < l || (k > 1 && src[off+k-1] == 0) {
 				return schema.ColVec{}, errors.New("truncated string payload")
 			}
-			v.Strs[i] = string(src[k : k+int(l)])
-			src = src[k+int(l):]
+			off += k
+			v.Strs[i] = whole[off : off+int(l)]
+			off += int(l)
+		}
+		if off != len(src) {
+			return schema.ColVec{}, errors.New("trailing bytes")
 		}
 	case schema.TypeTime:
-		if len(src) < 8*n {
-			return schema.ColVec{}, errors.New("truncated time payload")
-		}
 		v.Times = make([]time.Time, n)
 		for i := range v.Times {
 			ns := int64(binary.LittleEndian.Uint64(src[8*i:]))
 			v.Times[i] = time.Unix(0, ns).UTC()
 		}
-	default:
-		return schema.ColVec{}, fmt.Errorf("undecodable declared type %v", typ)
 	}
 	return v, nil
+}
+
+// decodeBools decodes a mask or bool payload, one 0/1 byte per element.
+func decodeBools(src []byte) ([]bool, error) {
+	out := make([]bool, len(src))
+	for i, b := range src {
+		if b > 1 {
+			return nil, fmt.Errorf("byte %d is not a boolean", b)
+		}
+		out[i] = b == 1
+	}
+	return out, nil
 }
 
 // Boxed values are tagged: one type byte, then the value's payload in the
@@ -645,7 +681,10 @@ func decodeValue(src []byte) (schema.Value, []byte, error) {
 		if len(src) < 1 {
 			return schema.Value{}, nil, errors.New("truncated boxed bool")
 		}
-		return schema.Bool(src[0] != 0), src[1:], nil
+		if src[0] > 1 {
+			return schema.Value{}, nil, fmt.Errorf("boxed byte %d is not a boolean", src[0])
+		}
+		return schema.Bool(src[0] == 1), src[1:], nil
 	case schema.TypeInt:
 		if len(src) < 8 {
 			return schema.Value{}, nil, errors.New("truncated boxed int")
@@ -658,7 +697,7 @@ func decodeValue(src []byte) (schema.Value, []byte, error) {
 		return schema.Float(math.Float64frombits(binary.LittleEndian.Uint64(src))), src[8:], nil
 	case schema.TypeString:
 		l, k := binary.Uvarint(src)
-		if k <= 0 || uint64(len(src)-k) < l {
+		if k <= 0 || uint64(len(src)-k) < l || (k > 1 && src[k-1] == 0) {
 			return schema.Value{}, nil, errors.New("truncated boxed string")
 		}
 		return schema.String(string(src[k : k+int(l)])), src[k+int(l):], nil

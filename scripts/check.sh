@@ -48,6 +48,11 @@ go test -race -cpu 1,4 ./...
 step "fuzz the row-line encoder (10s)"
 go test ./server -run '^$' -fuzz FuzzRowLine -fuzztime 10s
 
+# The column-region decoder must turn any bytes into an error or a vector
+# that re-encodes to them; seeds in internal/storage/testdata/fuzz.
+step "fuzz the segment column decoder (10s)"
+go test ./internal/storage -run '^$' -fuzz FuzzDecodeColVec -fuzztime 10s
+
 step "serving smoke"
 sh scripts/servesmoke.sh
 

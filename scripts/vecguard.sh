@@ -6,7 +6,12 @@
 # internal/engine/vecjoin.go is the vectorized hash-join probe: group-key
 # construction, selection-vector matching and gather over the same payloads.
 # internal/engine/vecsort.go holds the typed sort keys (schema.KeyCol) the
-# ORDER BY and window paths compare unboxed.
+# ORDER BY and window paths compare unboxed, and the vectorized ORDER BY
+# (openVecSorted): its keys are appended from the key vectors
+# (KeyCol.AppendVec) while the batches are retained unpivoted, and rows are
+# built cell by cell only after the permutation — under LIMIT the top-K —
+# is known. A ColBatch.Rows or RowAt there would pivot input the sort is
+# about to discard.
 # internal/fragment/colstage.go is the columnar branch of a fragment stage
 # boundary (stageIter.nextBatch, colStageSource): batches are accounted by
 # ColBatch.WireSize and handed to the next stage's kernels as they are.
