@@ -78,6 +78,13 @@ func BenchmarkHashJoin(b *testing.B) {
 	benchQuery(b, "SELECT d.x, cells.label FROM d JOIN cells ON d.cell = cells.cell WHERE d.z < 1")
 }
 
+// BenchmarkJoinGroupBy is the reading ⋈ dimension → aggregate shape: the
+// group key comes from the build side, the aggregate argument from the probe
+// side.
+func BenchmarkJoinGroupBy(b *testing.B) {
+	benchQuery(b, "SELECT cells.label, COUNT(*) AS n, AVG(d.z) AS za FROM d JOIN cells ON d.cell = cells.cell WHERE d.z < 1 GROUP BY cells.label")
+}
+
 func BenchmarkRegressionAggregates(b *testing.B) {
 	benchQuery(b, "SELECT regr_intercept(y, x), regr_slope(y, x), corr(y, x) FROM d")
 }

@@ -91,6 +91,19 @@ func bindingFromRelation(rel *schema.Relation, qual string) *binding {
 	return b
 }
 
+// project restricts the binding to the given column positions, in that
+// order, like Relation.Project: nil cols returns the receiver unchanged.
+func (b *binding) project(cols []int) *binding {
+	if cols == nil {
+		return b
+	}
+	out := &binding{cols: make([]bcol, len(cols))}
+	for i, c := range cols {
+		out.cols[i] = b.cols[c]
+	}
+	return out
+}
+
 // concat merges two bindings (for joins).
 func (b *binding) concat(o *binding) *binding {
 	out := &binding{cols: make([]bcol, 0, len(b.cols)+len(o.cols))}

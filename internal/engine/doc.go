@@ -40,15 +40,16 @@
 // the hot paths run vectorized: filter conjuncts compile into comparison
 // kernels over typed vectors refining a selection vector (vecscan.go, with
 // the non-kernelizable suffix evaluated row-at-a-time on pivoted
-// survivors), pure equi-joins probe and gather by selection vector
-// (vecjoin.go), and single-table blocks — at any worker count — run whole
+// survivors), pure equi-joins probe by selection vector and gather both
+// sides into typed joined batches (vecjoin.go) — a columnar source like a
+// scan — and blocks over either — at any worker count — run whole
 // on kernels where one fits: numeric projections, simple DISTINCT, GROUP BY
 // and ORDER BY over plain columns (vecproject.go, vecblock.go, vecgroup.go,
 // vecsort.go) — the two breakers read the vectors and pivot only group
 // representatives and the rows a sort returns. A block that is
 // nothing but scan, filters and a select list of stars and plain columns
 // has nothing to evaluate per row: its iterator (vecPassIter) also
-// implements schema.ColIterator and hands on the scan's vectors re-sliced
+// implements schema.ColIterator and hands on the source's vectors re-sliced
 // plus the surviving selection, which is how fragment stages exchange data
 // without pivoting. OpenStage is Open plus the reason (Decline*) a block's
 // output is rows instead. Every
@@ -56,5 +57,6 @@
 // stages — same rows, order, and error text — and declines to them whenever
 // exact semantics would be at risk (windows, expression sort keys, boxed
 // vectors, non-numeric expressions). Hashed operators share one key definition,
-// schema.AppendGroupKey, built alloc-free from rows or vectors alike.
+// schema.AppendGroupKey, built alloc-free from rows or vectors alike; a join
+// never looks a NULL key up.
 package engine

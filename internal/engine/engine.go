@@ -170,23 +170,33 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 		workers = 1
 	}
 
-	var decline string
+	// Kernels first: a columnar source — a scan, or an equi-join probing one —
+	// goes to the whole-block kernels; what they decline compiles into a
+	// segment.
+	var seg *parSeg
+	var err error
+	decline := DeclineDerived
 	switch s := src.(type) {
 	case *plan.Scan:
-		rel, it, why, err := e.openVecBlock(ctx, s, blk)
+		decline = DeclineRowSource
+		if cs, ok := e.src.(ColScanner); ok {
+			rel, it, why, err := e.openVecBlock(ctx, e.vecScanSource(cs, s, blk), blk)
+			if err != nil || it != nil {
+				return rel, it, why, err
+			}
+			decline = why
+		}
+	case *plan.Join:
+		rel, it, jseg, why, err := e.openJoinBlock(ctx, s, blk, workers)
 		if err != nil || it != nil {
 			return rel, it, why, err
 		}
-		decline = why
-	case *plan.Join:
-		decline = DeclineJoin
-	default:
-		decline = DeclineDerived
+		decline, seg = why, jseg
 	}
-
-	seg, err := e.openSegment(ctx, src, blk, workers)
-	if err != nil {
-		return nil, nil, "", err
+	if seg == nil {
+		if seg, err = e.openSegment(ctx, src, blk, workers); err != nil {
+			return nil, nil, "", err
+		}
 	}
 
 	if blk.Agg != nil || blk.Win != nil || blk.Sort != nil {
@@ -209,20 +219,7 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 		return nil, nil, "", err
 	}
 	if !p.identity {
-		// An all-plain-column projection directly over a vectorized join
-		// (no intervening stages — residual filters would see the combined
-		// layout) folds into the join's output gather: the combined wide
-		// rows are never materialized and the projection stage disappears.
-		retargeted := false
-		if vm, ok := seg.ms.(*vecJoinMorsels); ok && len(seg.mk) == 0 {
-			if om, omOK := projOutMap(p); omOK {
-				vm.core.retarget(om)
-				retargeted = true
-			}
-		}
-		if !retargeted {
-			seg.mk = append(seg.mk, projStage(p, seg.b))
-		}
+		seg.mk = append(seg.mk, projStage(p, seg.b))
 	}
 	var out schema.RowIterator
 	if blk.Distinct != nil {
@@ -244,30 +241,60 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 	return p.rel, schema.WithContext(ctx, out), decline, nil
 }
 
-// openSegment compiles a block's source node into a segment and applies the
-// block's residual filters — folded into the scan when the source is a
-// single relation, appended as filter stages otherwise.
+// openSegment compiles a block's source node — anything but a join, which
+// openJoinBlock compiles — into a segment and applies the block's residual
+// filters: folded into the scan when the source is a single relation,
+// appended as filter stages otherwise.
 func (e *Engine) openSegment(ctx context.Context, src plan.Node, blk *plan.Block, workers int) (*parSeg, error) {
 	var seg *parSeg
-	var err error
 	switch x := src.(type) {
 	case *plan.Scan:
 		return e.openScanSeg(ctx, x, blk, workers) // folds the filters into the scan itself
 	case *plan.Values:
 		// A single synthetic row.
 		seg = &parSeg{b: &binding{}, it: schema.IterateRows(schema.Rows{{}}, 1), workers: workers}
-	case *plan.Join:
-		seg, err = e.openJoin(ctx, x, workers)
 	default:
-		seg, err = e.openSubBlock(ctx, src, workers)
+		var err error
+		if seg, err = e.openSubBlock(ctx, src, workers); err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
+	return filterSeg(seg, blk), nil
+}
+
+// filterSeg appends the block's residual filters to a segment as stages.
+func filterSeg(seg *parSeg, blk *plan.Block) *parSeg {
 	for _, c := range blk.FilterConds() {
 		seg.mk = append(seg.mk, filterStage(seg.b, c))
 	}
-	return seg, nil
+	return seg
+}
+
+// openJoinBlock compiles a block that reads a join. A join that vectorizes
+// (vecjoin.go) is a columnar source: the whole-block kernels get it first,
+// and a block they decline takes rows from the same probe. Any other join is
+// the row probe stages on the probe side's segment. A nil iterator means the
+// caller drives the returned segment, the block's residual filters already
+// appended; why is openVecBlock's.
+func (e *Engine) openJoinBlock(ctx context.Context, j *plan.Join, blk *plan.Block, workers int) (rel *schema.Relation, it schema.RowIterator, seg *parSeg, why string, err error) {
+	core, seg, err := e.compileJoin(ctx, j, workers)
+	if err != nil {
+		return nil, nil, nil, "", err
+	}
+	why = DeclineJoin
+	if _, ok := e.src.(ColScanner); !ok {
+		why = DeclineRowSource
+	}
+	if core != nil {
+		rel, it, why, err = e.openVecBlock(ctx, core.source(blk), blk)
+		if err != nil || it != nil {
+			return rel, it, nil, why, err
+		}
+		if seg, err = core.segment(ctx, workers); err != nil {
+			return nil, nil, nil, "", err
+		}
+	}
+	return nil, nil, filterSeg(seg, blk), why, nil
 }
 
 // openSubBlock compiles a nested block (which picks its own worker count)
@@ -294,10 +321,7 @@ func (e *Engine) openScanSeg(ctx context.Context, s *plan.Scan, blk *plan.Block,
 	if err != nil {
 		return nil, err
 	}
-	qual := s.Table
-	if s.Alias != "" {
-		qual = s.Alias
-	}
+	qual := scanQual(s)
 	full := bindingFromRelation(rel, qual)
 
 	// The scan predicate (and any residual block filters — a single
@@ -333,14 +357,14 @@ func (e *Engine) openScanSeg(ctx context.Context, s *plan.Scan, blk *plan.Block,
 	// the survivor pivot on the claiming worker, so rejected rows and pruned
 	// columns are never pivoted to row form and no scan stage is needed.
 	if cs, ok := e.src.(ColScanner); ok {
-		if p, pok := compileVecScan(rel, qual, full, conds, cols); pok {
+		if p, pok := compileVecScan(rel, full, conds, cols); pok {
 			sc := p.colScan(rel.Arity())
 			sc.BatchSize = batch
 			ms, err := cs.OpenColMorsels(ctx, s.Table, sc)
 			if err != nil {
 				return nil, err
 			}
-			seg.ms = newVecMorsels(ms, p, workers)
+			seg.ms = newVecScanMorsels(ms, p, workers)
 			return seg, nil
 		}
 	}
@@ -383,6 +407,15 @@ func (e *Engine) openScanSeg(ctx context.Context, s *plan.Scan, blk *plan.Block,
 		seg.mk = append(seg.mk, scanStage(full, conds, cols))
 	}
 	return seg, nil
+}
+
+// scanQual is the qualifier a scan's columns resolve under: its alias, else
+// the table's name.
+func scanQual(s *plan.Scan) string {
+	if s.Alias != "" {
+		return s.Alias
+	}
+	return s.Table
 }
 
 // scanColumns decides the projection pushed into a scan: the plan's pruned
@@ -518,26 +551,54 @@ func (e *Engine) finishBroken(blk *plan.Block, b *binding, out *Result, orderRow
 	return out.Schema, out.Rows, nil
 }
 
-// openJoin compiles a join onto the probe side's segment: the build (right)
-// side is materialized and indexed, the probe (left) side streams, each
-// worker probing its own morsels against the shared immutable index. Pure
-// equi-joins over a columnar probe scan run the vectorized probe
-// (vecjoin.go); remaining equi-joins on plain column references use the
-// row-at-a-time hash probe; everything else falls back to nested loops.
+// openJoin compiles a join that is itself one side of a join into a
+// segment: rows pivoted from the vectorized probe, or the row probe stages.
 func (e *Engine) openJoin(ctx context.Context, j *plan.Join, workers int) (*parSeg, error) {
-	if seg, handled, err := e.openVecJoin(ctx, j, workers); handled || err != nil {
-		return seg, err
+	core, seg, err := e.compileJoin(ctx, j, workers)
+	if core != nil {
+		return core.segment(ctx, workers)
 	}
-	left, err := e.openJoinSide(ctx, j.Left, workers)
-	if err != nil {
-		return nil, err
+	return seg, err
+}
+
+// compileJoin compiles a join: the build (right) side is materialized and
+// indexed, the probe (left) side streams, each worker probing its own
+// morsels against the shared immutable index. Pure equi-joins over a columnar
+// probe scan compile to the vectorized core (vecjoin.go), nothing opened on
+// the probe side yet; every other join comes back as a segment — the probe
+// side's, with the row-at-a-time hash probe appended when ON holds an
+// equality of plain column references, else nested loops. Exactly one of the
+// two is non-nil on success.
+func (e *Engine) compileJoin(ctx context.Context, j *plan.Join, workers int) (*vecJoinCore, *parSeg, error) {
+	probe, ok := e.compileVecJoinProbe(j)
+	if !ok {
+		left, err := e.openJoinSide(ctx, j.Left, workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		rb, rrows, err := e.drainBuildSide(ctx, j.Right)
+		if err != nil {
+			left.close()
+			return nil, nil, err
+		}
+		return nil, joinFromBuild(j, left, rb, rrows), nil
 	}
 	rb, rrows, err := e.drainBuildSide(ctx, j.Right)
 	if err != nil {
-		left.close()
-		return nil, err
+		return nil, nil, err
 	}
-	return joinFromBuild(j, left, rb, rrows), nil
+	eqL, eqR, rest := splitEquiJoin(j.On, probe.b, rb)
+	if len(eqL) == 0 || len(rest) > 0 {
+		// A late decline, known only now that the build side is bound: the
+		// row probe over the build rows already drained.
+		left, err := e.openJoinSide(ctx, j.Left, workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, joinFromBuild(j, left, rb, rrows), nil
+	}
+	build := schema.BatchFromRows(rb.relation(""), rrows)
+	return newVecJoinCore(probe, rb, build, eqL, eqR, j.Type == sqlparser.JoinLeft, workers), nil, nil
 }
 
 // drainBuildSide compiles and materializes a join's build input. It is
@@ -557,9 +618,8 @@ func (e *Engine) drainBuildSide(ctx context.Context, n plan.Node) (*binding, sch
 }
 
 // joinFromBuild appends the row-path probe stage to the probe side's segment
-// for an already-drained build side, shared by openJoin and openVecJoin's
-// late declines. The hash index is built partitioned across the segment's
-// workers.
+// for an already-drained build side. The hash index is built partitioned
+// across the segment's workers.
 func joinFromBuild(j *plan.Join, seg *parSeg, rb *binding, rrows schema.Rows) *parSeg {
 	lb := seg.b
 	cb := lb.concat(rb)

@@ -648,8 +648,12 @@ func hashProbeStage(ix *joinIndex, rrows schema.Rows, eqL []int, rest []sqlparse
 			out := buf.start(len(in))
 			for _, lr := range in {
 				matched := false
-				kbuf = lr.AppendGroupKey(kbuf[:0], eqL)
-				for _, ri := range ix.lookup(kbuf) {
+				var matches []int
+				if !nullKeyRow(lr, eqL) {
+					kbuf = lr.AppendGroupKey(kbuf[:0], eqL)
+					matches = ix.lookup(kbuf)
+				}
+				for _, ri := range matches {
 					combined := joinRow(lr, rrows[ri])
 					ok, err := residualOK(env, combined, rest)
 					if err != nil {
@@ -787,11 +791,23 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
-// buildJoinIndex builds the probe index over the materialized build rows.
-// Phase 1 computes keys and hashes in parallel row ranges; phase 2 lets
-// each partition's worker insert exactly the rows hashing to it, scanning
-// the shared key array in row order so per-key row lists match the serial
-// build order.
+// nullKeyRow reports whether any of the row's join key columns is NULL: such
+// a row joins nothing, on either side — NULL = NULL is not true, and the
+// nested-loop probe, which evaluates ON, never matched it either.
+func nullKeyRow(r schema.Row, cols []int) bool {
+	for _, c := range cols {
+		if r[c].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+// buildJoinIndex builds the probe index over the materialized build rows,
+// leaving out rows with a NULL key. Phase 1 computes keys and hashes in
+// parallel row ranges; phase 2 lets each partition's worker insert exactly
+// the rows hashing to it, scanning the shared key array in row order so
+// per-key row lists match the serial build order.
 func buildJoinIndex(rrows schema.Rows, eqR []int, workers int) *joinIndex {
 	n := len(rrows)
 	if workers < 2 || n < 2*schema.DefaultBatchSize {
@@ -799,6 +815,9 @@ func buildJoinIndex(rrows schema.Rows, eqR []int, workers int) *joinIndex {
 		m := make(map[string][]int, n)
 		var kbuf []byte
 		for ri, rr := range rrows {
+			if nullKeyRow(rr, eqR) {
+				continue
+			}
 			kbuf = rr.AppendGroupKey(kbuf[:0], eqR)
 			m[string(kbuf)] = append(m[string(kbuf)], ri)
 		}
@@ -810,6 +829,9 @@ func buildJoinIndex(rrows schema.Rows, eqR []int, workers int) *joinIndex {
 	parallelRanges(n, workers, func(lo, hi int) {
 		var kbuf []byte
 		for i := lo; i < hi; i++ {
+			if nullKeyRow(rrows[i], eqR) {
+				continue // the empty key: partitionKeyIndex leaves it out
+			}
 			kbuf = rrows[i].AppendGroupKey(kbuf[:0], eqR)
 			keys[i] = string(kbuf)
 			hs[i] = fnv32a(keys[i])
@@ -821,7 +843,8 @@ func buildJoinIndex(rrows schema.Rows, eqR []int, workers int) *joinIndex {
 // partitionKeyIndex is phase 2 of the partitioned build (shared with the
 // columnar build in vecjoin.go): each partition's worker inserts exactly
 // the rows hashing to it, scanning the shared key array in row order so
-// per-key row lists match the serial build order.
+// per-key row lists match the serial build order. An empty key marks a row
+// with a NULL join key, which no partition takes.
 func partitionKeyIndex(keys []string, hs []uint32, workers int) []map[string][]int {
 	n := len(keys)
 	parts := make([]map[string][]int, workers)
@@ -834,7 +857,7 @@ func partitionKeyIndex(keys []string, hs []uint32, workers int) []map[string][]i
 			// Modulo in uint32: int(hs[i]) % workers would go negative on
 			// 32-bit platforms for hashes >= 2^31.
 			for i := 0; i < n; i++ {
-				if hs[i]%uint32(workers) == uint32(p) {
+				if keys[i] != "" && hs[i]%uint32(workers) == uint32(p) {
 					m[keys[i]] = append(m[keys[i]], i)
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"paradise/internal/plan"
 	"paradise/internal/schema"
@@ -346,6 +347,12 @@ func TestParallelConcurrentOpens(t *testing.T) {
 // corpus, on the store and on a capability-stripped source.
 func TestOneWorkerStartsNoGoroutine(t *testing.T) {
 	st := vecStore(t, false)
+	// The previous test's runner goroutine may still be on its way out — at
+	// GOMAXPROCS=1 it runs only once this one yields, which is wherever the
+	// corpus first triggers a GC. Let the count settle before pinning it.
+	for n := -1; n != runtime.NumGoroutine(); time.Sleep(10 * time.Millisecond) {
+		n = runtime.NumGoroutine()
+	}
 	for _, src := range []Source{st, rowOnly{st}} {
 		eng := New(src).WithParallelism(1)
 		for _, q := range equivalenceQueries {

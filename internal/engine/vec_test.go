@@ -197,7 +197,7 @@ var equivalenceQueries = []string{
 	"SELECT SUM(i) AS s FROM v",
 	"SELECT AVG(i) AS a FROM v GROUP BY b",
 	// Joins: the vectorized equi probe (inner, LEFT null-extension, kernel
-	// filters on the probe side, retargeted all-column projections) and
+	// filters on the probe side, reordered and computed select lists) and
 	// every decline shape — residual ON conjunct, non-equi ON, cross join,
 	// derived probe side. NULL keys never match, duplicate build keys fan
 	// out in build order.
@@ -205,8 +205,8 @@ var equivalenceQueries = []string{
 	"SELECT v.i, w.t FROM v LEFT JOIN w ON v.i = w.k",
 	"SELECT v.i, w.t FROM v JOIN w ON v.i = w.k WHERE v.f < 2",
 	"SELECT v.i, w.t FROM v LEFT JOIN w ON v.i = w.k WHERE v.f >= 0 OR v.f IS NULL",
-	"SELECT w.t, v.i FROM v JOIN w ON v.i = w.k",             // reordered retarget
-	"SELECT v.i + w.k AS m FROM v JOIN w ON v.i = w.k",       // expression projection: no retarget
+	"SELECT w.t, v.i FROM v JOIN w ON v.i = w.k",             // reordered
+	"SELECT v.i + w.k AS m FROM v JOIN w ON v.i = w.k",       // expression projection over the joined batch
 	"SELECT v.i, w.k FROM v JOIN w ON v.i = w.k AND v.f > 0", // residual ON conjunct declines
 	"SELECT v.i, w.k FROM v JOIN w ON v.i < w.k",             // non-equi: loop join
 	"SELECT v.i, w.k FROM v CROSS JOIN w WHERE v.i = 1",
@@ -418,12 +418,26 @@ func TestOpenStageDeclineReasons(t *testing.T) {
 		{st, "SELECT i, row_number() OVER (ORDER BY i) AS rn FROM v", DeclineBreaker},
 		{st, "SELECT DISTINCT s FROM v", DeclineDistinct},
 		{st, "SELECT i, s FROM v LIMIT 3", DeclineLimit},
-		{st, "SELECT v.i, w.t FROM v JOIN w ON v.i = w.k", DeclineJoin},
+		// An equi-join probing a table is a columnar source like a scan.
+		{st, "SELECT v.i, w.t FROM v JOIN w ON v.i = w.k", ""},
+		{st, "SELECT w.t, v.s FROM v LEFT JOIN w ON v.i = w.k WHERE v.f < 2", ""},
+		{st, "SELECT w.t, COUNT(*) AS n FROM v JOIN w ON v.i = w.k GROUP BY w.t", DeclineBreaker},
+		{st, "SELECT v.i, w.t FROM v JOIN w ON v.i = w.k ORDER BY w.t", DeclineBreaker},
+		{st, "SELECT DISTINCT w.t FROM v JOIN w ON v.i = w.k", DeclineDistinct},
+		{st, "SELECT v.i, w.t FROM v JOIN w ON v.i = w.k LIMIT 2", DeclineLimit},
+		{st, "SELECT v.i + w.k AS m FROM v JOIN w ON v.i = w.k", DeclineProjection},
+		// The joins that keep the row probe stages.
+		{st, "SELECT v.i, w.k FROM v JOIN w ON v.i < w.k", DeclineJoin},             // non-equi ON
+		{st, "SELECT v.i, w.k FROM v JOIN w ON v.i = w.k AND v.f > 0", DeclineJoin}, // residual ON conjunct
+		{st, "SELECT v.i, w.k FROM v CROSS JOIN w", DeclineJoin},
+		{st, "SELECT d.i, w.t FROM (SELECT i FROM v WHERE f IS NOT NULL) AS d JOIN w ON d.i = w.k", DeclineJoin}, // derived probe side
+		{st, "SELECT w.t, COUNT(*) AS n FROM v JOIN w ON v.i < w.k GROUP BY w.t", DeclineJoin},
 		{st, "SELECT i + 1 AS a FROM v", DeclineProjection},                               // vectorized arithmetic, rows out
 		{st, "SELECT CASE WHEN i > 1 THEN s ELSE 'x' END AS c FROM v", DeclineProjection}, // no kernel at all
 		{st, "SELECT i FROM (SELECT i, s FROM v LIMIT 5) AS d", DeclineDerived},
 		{rowOnly{st}, "SELECT * FROM v", DeclineRowSource},
 		{rowOnly{st}, "SELECT s, COUNT(*) AS n FROM v GROUP BY s", DeclineRowSource},
+		{rowOnly{st}, "SELECT v.i, w.t FROM v JOIN w ON v.i = w.k", DeclineRowSource},
 	}
 	for _, c := range cases {
 		sel, err := sqlparser.Parse(c.sql)

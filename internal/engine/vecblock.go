@@ -8,21 +8,23 @@ import (
 	"paradise/internal/sqlparser"
 )
 
-// This file wires whole query-block shapes onto the columnar scan when the
-// block's work can run over vectors: DISTINCT over plain columns
-// (vecDistinctIter below), grouped aggregation (vecgroup.go) and ORDER BY
-// over plain columns (vecsort.go). All of them
-// share the compiled scan (vecscan.go) and decline — ok=false, no error —
-// whenever any piece of the block needs the row-at-a-time machinery, so the
-// row path remains the single source of truth for full SQL semantics.
+// This file wires whole query-block shapes onto a columnar source — a
+// base-table scan or a vectorized equi-join (vecjoin.go) — when the block's
+// work can run over vectors: DISTINCT over plain columns (vecDistinctIter
+// below), grouped aggregation (vecgroup.go), ORDER BY over plain columns
+// (vecsort.go) and projections (vecproject.go, vecPassIter below). All of
+// them compile over a vecSource and decline — ok=false, no error — whenever
+// any piece of the block needs the row-at-a-time machinery, so the row path
+// remains the single source of truth for full SQL semantics.
 
 // Why a compiled block hands rows, not column batches, to its consumer —
-// the reasons OpenStage reports. A block is columnar exactly when it is a
-// scan over a ColScanner, filters, and a select list of stars and plain
-// columns; each constant names the first thing that broke that shape.
+// the reasons OpenStage reports. A block is columnar exactly when it reads a
+// columnar source (a scan over a ColScanner, or an equi-join probing one),
+// filters, and has a select list of stars and plain columns; each constant
+// names the first thing that broke that shape.
 const (
 	DeclineRowSource  = "row-only source"       // the source serves no column batches
-	DeclineJoin       = "join"                  // the block reads a join
+	DeclineJoin       = "join"                  // the join keeps the row probe: not INNER/LEFT on pure equalities over a base-table probe side
 	DeclineDerived    = "derived source"        // the block reads a nested block or no table
 	DeclineBreaker    = "breaker"               // GROUP BY, window or ORDER BY materializes
 	DeclineDistinct   = "distinct"              // DISTINCT emits first occurrences as rows
@@ -30,46 +32,54 @@ const (
 	DeclineProjection = "non-kernel projection" // the select list computes expressions
 )
 
-// openVecBlock tries the vectorized whole-block paths for a single-table
-// block, at any worker count: what a whole-block kernel accepts runs on it,
-// and workers are spent only on what the kernels decline. A nil iterator
-// means the caller compiles the block on the segment path; why says, in
-// either case, what keeps the block's output row-major ("" when the
-// returned iterator also serves column batches).
-func (e *Engine) openVecBlock(ctx context.Context, s *plan.Scan, blk *plan.Block) (rel *schema.Relation, it schema.RowIterator, why string, err error) {
-	cs, ok := e.src.(ColScanner)
-	if !ok {
-		return nil, nil, DeclineRowSource, nil
-	}
+// vecSource is the columnar input a whole-block kernel compiles over: a
+// base-table scan or a vectorized join. Either way the kernel sees batches in
+// one known layout, filters them with p, and reads typed vectors.
+type vecSource struct {
+	// p is the block's filters compiled over the layout the batches arrive in
+	// (p.lb binds it): for a scan the pushed predicate and the residual
+	// filters over the loaded table columns, for a join the residual filters
+	// over the probe side's columns followed by the build side's.
+	p *vecScanPlan
+	// open starts the batches. keep says the consumer retains them past its
+	// next pull (a sort, a stage handing them on); without it a join reuses
+	// its gather buffers from batch to batch.
+	open func(ctx context.Context, keep bool) (schema.ColIterator, error)
+}
+
+// openVecBlock tries the vectorized whole-block paths over a columnar
+// source, at any worker count: what a whole-block kernel accepts runs on it,
+// and workers are spent only on what the kernels decline. vs is nil when the
+// block's filters do not compile over the source. A nil iterator means the
+// caller compiles the block on the segment path; why says, in either case,
+// what keeps the block's output row-major ("" when the returned iterator also
+// serves column batches).
+func (e *Engine) openVecBlock(ctx context.Context, vs *vecSource, blk *plan.Block) (rel *schema.Relation, it schema.RowIterator, why string, err error) {
 	switch {
 	case blk.Agg != nil:
-		rel, it, err = e.openVecGrouped(ctx, cs, s, blk)
+		rel, it, err = e.openVecGrouped(ctx, vs, blk)
 		return rel, it, DeclineBreaker, err
 	case blk.Win != nil:
 		return nil, nil, DeclineBreaker, nil
 	case blk.Sort != nil:
-		rel, it, err = e.openVecSorted(ctx, cs, s, blk)
+		rel, it, err = e.openVecSorted(ctx, vs, blk)
 		return rel, it, DeclineBreaker, err
 	case blk.Distinct != nil:
-		rel, it, err = e.openVecDistinct(ctx, cs, s, blk)
+		rel, it, err = e.openVecDistinct(ctx, vs, blk)
 		return rel, it, DeclineDistinct, err
 	}
-	return e.openVecProject(ctx, cs, s, blk)
+	return e.openVecProject(ctx, vs, blk)
 }
 
-// vecBlockScan compiles the scan half shared by the vectorized block paths:
-// the table schema, the filter conjuncts and the pruned column set, fed into
-// compileVecScan. ok=false when the scan itself cannot be vectorized.
-func (e *Engine) vecBlockScan(s *plan.Scan, blk *plan.Block) (*vecScanPlan, *schema.Relation, bool) {
+// vecScanSource compiles a single-table block's source: the table schema,
+// the filter conjuncts and the pruned column set, fed into compileVecScan.
+// nil when the scan itself cannot be vectorized.
+func (e *Engine) vecScanSource(cs ColScanner, s *plan.Scan, blk *plan.Block) *vecSource {
 	rel, err := RelationSchema(e.src, s.Table)
 	if err != nil {
-		return nil, nil, false // let the row path surface the error
+		return nil // let the row path surface the error
 	}
-	qual := s.Table
-	if s.Alias != "" {
-		qual = s.Alias
-	}
-	full := bindingFromRelation(rel, qual)
+	full := bindingFromRelation(rel, scanQual(s))
 
 	filters := blk.FilterConds()
 	conds := make([]sqlparser.Expr, 0, 1+len(filters))
@@ -78,44 +88,43 @@ func (e *Engine) vecBlockScan(s *plan.Scan, blk *plan.Block) (*vecScanPlan, *sch
 	}
 	conds = append(conds, filters...)
 
-	p, ok := compileVecScan(rel, qual, full, conds, e.scanColumns(s, blk, full))
+	p, ok := compileVecScan(rel, full, conds, e.scanColumns(s, blk, full))
 	if !ok {
-		return nil, nil, false
+		return nil
 	}
-	return p, rel, true
+	sc := p.colScan(rel.Arity())
+	return &vecSource{p: p, open: func(ctx context.Context, _ bool) (schema.ColIterator, error) {
+		return cs.OpenColScan(ctx, s.Table, sc)
+	}}
 }
 
-// openVecDistinct compiles SELECT DISTINCT over plain columns of a single
-// table: duplicates are eliminated on the column vectors, so only the unique
+// openVecDistinct compiles SELECT DISTINCT over plain columns of a columnar
+// source: duplicates are eliminated on the column vectors, so only the unique
 // rows are ever pivoted to row form. With few distinct values this skips
 // almost all of the pivot work the row path pays before its DISTINCT stage.
-func (e *Engine) openVecDistinct(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, error) {
-	p, rel, ok := e.vecBlockScan(s, blk)
-	if !ok {
+func (e *Engine) openVecDistinct(ctx context.Context, vs *vecSource, blk *plan.Block) (*schema.Relation, schema.RowIterator, error) {
+	if vs == nil {
 		return nil, nil, nil
 	}
-	proj, err := buildProjector(blk.Items(), p.lb)
+	proj, err := buildProjector(blk.Items(), vs.p.lb)
 	if err != nil {
 		return nil, nil, nil // row path reports the projection error
 	}
 	// Every output column must be a direct copy of a loaded column —
 	// expressions in the select list mean per-row evaluation, which is what
 	// the row path is for.
-	srcIdx := make([]int, len(proj.cols))
-	for i, c := range proj.cols {
-		if c.starIdx < 0 {
-			return nil, nil, nil
-		}
-		srcIdx[i] = c.starIdx
+	srcIdx, ok := projOutMap(proj)
+	if !ok {
+		return nil, nil, nil
 	}
 
-	ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
+	ci, err := vs.open(ctx, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	var out schema.RowIterator = &vecDistinctIter{
 		src:    ci,
-		ex:     newVecExec(p),
+		ex:     newVecExec(vs.p),
 		srcIdx: srcIdx,
 		orel:   proj.rel,
 		seen:   make(map[string]bool),
@@ -128,6 +137,19 @@ func (e *Engine) openVecDistinct(ctx context.Context, cs ColScanner, s *plan.Sca
 		out = &limitIter{src: out, remaining: n}
 	}
 	return proj.rel, schema.WithContext(ctx, out), nil
+}
+
+// projOutMap flattens an all-plain-column projection into source positions;
+// ok=false when any output column computes an expression.
+func projOutMap(p *projector) ([]int, bool) {
+	om := make([]int, len(p.cols))
+	for i, c := range p.cols {
+		if c.starIdx < 0 {
+			return nil, false
+		}
+		om[i] = c.starIdx
+	}
+	return om, true
 }
 
 // vecDistinctIter filters batches with the compiled kernels, deduplicates

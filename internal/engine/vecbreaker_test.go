@@ -78,28 +78,46 @@ func breakerStore(t testing.TB) *storage.Store {
 	return st
 }
 
-// requireVecBreaker fails unless the engine's whole-block breaker kernel
-// takes the statement: without it an equivalence check compares the row path
-// with itself.
-func requireVecBreaker(t *testing.T, eng *Engine, sql string) {
+// requireVecKernel fails unless a whole-block kernel takes the statement and
+// reports the given decline: without it an equivalence check compares the
+// row path with itself.
+func requireVecKernel(t *testing.T, eng *Engine, sql, want string) {
 	t.Helper()
+	ctx := context.Background()
 	root := plan.Optimize(mustPlan(t, sql), plan.Options{Catalog: eng.Catalog(), CrossBlock: true})
 	blk, src := plan.SplitBlock(root)
-	scan, ok := src.(*plan.Scan)
-	if !ok {
-		t.Fatalf("%q: not a single-table block", sql)
+	var vs *vecSource
+	switch s := src.(type) {
+	case *plan.Scan:
+		vs = eng.vecScanSource(eng.src.(ColScanner), s, blk)
+	case *plan.Join:
+		core, _, err := eng.compileJoin(ctx, s, eng.par)
+		if err != nil {
+			return // the equivalence check compares the error
+		}
+		if core == nil {
+			t.Fatalf("%q: the join did not vectorize", sql)
+		}
+		vs = core.source(blk)
+	default:
+		t.Fatalf("%q: neither a single-table block nor a join", sql)
 	}
-	_, it, why, err := eng.openVecBlock(context.Background(), scan, blk)
+	_, it, why, err := eng.openVecBlock(ctx, vs, blk)
 	if err != nil {
-		return // the equivalence check compares the error
+		return
 	}
 	if it == nil {
-		t.Fatalf("%q: the vectorized breaker declined", sql)
+		t.Fatalf("%q: the whole-block kernels declined", sql)
 	}
 	it.Close()
-	if why != DeclineBreaker {
-		t.Fatalf("%q: decline = %q, want %q", sql, why, DeclineBreaker)
+	if why != want {
+		t.Fatalf("%q: decline = %q, want %q", sql, why, want)
 	}
+}
+
+func requireVecBreaker(t *testing.T, eng *Engine, sql string) {
+	t.Helper()
+	requireVecKernel(t, eng, sql, DeclineBreaker)
 }
 
 func TestVecGroupByMatchesRowPath(t *testing.T) {
@@ -352,16 +370,19 @@ func TestVecOrderByOverStageBatches(t *testing.T) {
 }
 
 // TestVecBreakersStopOnCancel: a context cancelled between two batches ends
-// both breakers' drains at the next pull with the context's error, like the
-// row path's, and nothing further is read.
+// both breakers' drains — of a scan and of a join's probe — at the next pull
+// with the context's error, like the row path's, and nothing further is read.
 func TestVecBreakersStopOnCancel(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT k, v FROM g ORDER BY v LIMIT 2",
 		"SELECT k, SUM(v) AS sv FROM g GROUP BY k",
+		"SELECT g.v, w.t FROM g JOIN w ON g.k = w.k ORDER BY g.v LIMIT 2",
+		"SELECT w.t, SUM(g.v) AS sv FROM g JOIN w ON g.k = w.k GROUP BY w.t",
 	} {
-		src := mixedBatches()
+		src := twoSources{g: mixedBatches(), rest: vecStore(t, false)}
+		requireVecBreaker(t, New(src), sql)
 		ctx, cancel := context.WithCancel(context.Background())
-		src.onPull = func(n int) {
+		src.g.onPull = func(n int) {
 			if n == 2 {
 				cancel()
 			}
@@ -370,10 +391,10 @@ func TestVecBreakersStopOnCancel(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%q: err = %v, want context.Canceled", sql, err)
 		}
-		if src.pulled != 2 {
-			t.Fatalf("%q: %d batches read, want the scan to stop at 2", sql, src.pulled)
+		if src.g.pulled != 2 {
+			t.Fatalf("%q: %d batches read, want the scan to stop at 2", sql, src.g.pulled)
 		}
-		src.onPull = nil
+		src.g.onPull = nil
 		if _, rerr := New(rowOnly{src}).Query(ctx, sql); !errors.Is(rerr, context.Canceled) {
 			t.Fatalf("%q: row path err = %v, want context.Canceled", sql, rerr)
 		}
@@ -383,16 +404,18 @@ func TestVecBreakersStopOnCancel(t *testing.T) {
 
 // TestBreakerAllocationBudget: the breakers allocate per batch, per group
 // and per returned row, never per input row. 100 000 rows arrive in 391
-// batches (two allocations each, the scan's window); a typed GROUP BY and an
-// ORDER BY … LIMIT 20 over them must stay under one allocation per 50 input
-// rows (measured: 0.0185 and 0.0146; at the parent commit 0.0215 and
-// 0.0185, plus the bytes of every boxed key and pivoted row).
+// batches (two allocations each, the scan's window); a typed GROUP BY, an
+// ORDER BY … LIMIT 20 and a GROUP BY over a join — whose probe gathers every
+// joined batch into the vectors of the one before — must stay under one
+// allocation per 50 input rows (measured: 0.0186, 0.0147 and 0.0135; the
+// join at the parent commit, whose row GROUP BY kept every joined row: 1.02).
 func TestBreakerAllocationBudget(t *testing.T) {
 	const n = 100_000
 	eng := New(benchStore(t, n))
 	for _, sql := range []string{
 		"SELECT cell, AVG(z) AS za, COUNT(*) AS n FROM d GROUP BY cell",
 		"SELECT x, y FROM d ORDER BY z DESC LIMIT 20",
+		"SELECT cells.label, AVG(d.z) AS za, COUNT(*) AS n FROM d JOIN cells ON d.cell = cells.cell GROUP BY cells.label",
 	} {
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := eng.Query(context.Background(), sql); err != nil {

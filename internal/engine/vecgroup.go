@@ -109,21 +109,19 @@ func compileVecGrouped(p *vecScanPlan, blk *plan.Block) (*vecGroupPlan, bool) {
 	return g, true
 }
 
-// openVecGrouped runs a grouped single-table block on the columnar scan.
-func (e *Engine) openVecGrouped(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, error) {
-	if blk.Win != nil {
+// openVecGrouped runs a grouped block on a columnar source: a scan's batches
+// or a join's feed the group table alike.
+func (e *Engine) openVecGrouped(ctx context.Context, vs *vecSource, blk *plan.Block) (*schema.Relation, schema.RowIterator, error) {
+	if vs == nil || blk.Win != nil {
 		return nil, nil, nil
 	}
-	p, rel, ok := e.vecBlockScan(s, blk)
-	if !ok {
-		return nil, nil, nil
-	}
+	p := vs.p
 	gp, ok := compileVecGrouped(p, blk)
 	if !ok {
 		return nil, nil, nil
 	}
 
-	ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
+	ci, err := vs.open(ctx, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -279,7 +277,8 @@ func (t *groupTable) assign(cb *schema.ColBatch, sel []int) []*vecGroup {
 			front = t.times
 		}
 		var prevB uint64
-		for k, b := range t.keyBits(v, n, sel) {
+		t.bits = keyBits(t.bits, v, n, sel)
+		for k, b := range t.bits {
 			if prev == nil || b != prevB {
 				g, ok := front[b]
 				if !ok {
@@ -320,24 +319,28 @@ func liveRow(sel []int, k int) int {
 	return k
 }
 
-// keyBits fills the scratch with the canonical 8-byte key of every live
-// element of a dense Int, Float or Time vector: exactly the bytes
-// AppendGroupKey would put behind the type tag, so two elements share a
-// group iff their bits are equal (1 and 1.0, every NaN; not -0.0 and +0.0).
-func (t *groupTable) keyBits(v *schema.ColVec, n int, sel []int) []uint64 {
-	if cap(t.bits) < n {
-		t.bits = make([]uint64, n)
+// keyBits returns, in bits when it is large enough, the canonical 8-byte key
+// of every live element of a dense Int, Float or Time vector: exactly the
+// bytes AppendGroupKey would put behind the type tag, so two elements share
+// a group iff their bits are equal (1 and 1.0, every NaN; not -0.0 and +0.0).
+// The group table's fronts and the join's (vecjoin.go) are keyed by it.
+func keyBits(bits []uint64, v *schema.ColVec, n int, sel []int) []uint64 {
+	if cap(bits) < n {
+		bits = make([]uint64, n)
 	}
-	bits := t.bits[:n]
-	for k := range bits {
-		i := liveRow(sel, k)
-		switch v.Typ {
-		case schema.TypeInt:
-			bits[k] = schema.NumericKeyBits(float64(v.Ints[i]))
-		case schema.TypeFloat:
-			bits[k] = schema.NumericKeyBits(v.Floats[i])
-		default:
-			bits[k] = uint64(v.Times[i].UnixNano())
+	bits = bits[:n]
+	switch v.Typ {
+	case schema.TypeInt:
+		for k := range bits {
+			bits[k] = schema.NumericKeyBits(float64(v.Ints[liveRow(sel, k)]))
+		}
+	case schema.TypeFloat:
+		for k := range bits {
+			bits[k] = schema.NumericKeyBits(v.Floats[liveRow(sel, k)])
+		}
+	default:
+		for k := range bits {
+			bits[k] = uint64(v.Times[liveRow(sel, k)].UnixNano())
 		}
 	}
 	return bits

@@ -8,66 +8,152 @@ import (
 	"paradise/internal/sqlparser"
 )
 
-// Vectorized equi-join probe. The build (right) side is materialized into
+// Vectorized equi-join: a columnar source. The build (right) side is held as
 // column vectors and indexed by canonical group-key bytes computed
 // vector-at-a-time; the probe (left) side stays columnar through the scan's
 // filter kernels, probes the index per surviving batch position, and both
-// sides' payloads are gathered by selection vector into the combined output
-// rows — one backing array per batch, no per-match row allocation.
+// sides' vectors are gathered by match index into one joined column batch —
+// typed payloads and NULL masks preserved, no value boxed. The whole-block
+// kernels (vecblock.go) take that batch exactly as they take a scan's; a
+// block they decline gets rows from the same probe through the segment's one
+// pivot adapter (vecMorsels).
 //
 // Decline-don't-approximate: the path requires an inner or left join whose
 // ON clause is purely equi (no residual conjuncts — the row probe owns
 // residual evaluation order), with the probe a bare base-table scan over a
 // ColScanner whose predicate vectorizes. Anything else takes the row probe
-// stages, reusing the already-drained build side where possible.
+// stages (Engine.compileJoin).
+
+// vecJoinProbe is the compiled probe side of a vectorized join: the source
+// and table it scans, the scan plan, the table's arity (for loadCols), and
+// the binding of the columns the probe emits.
+type vecJoinProbe struct {
+	cs    ColScanner
+	table string
+	p     *vecScanPlan
+	arity int
+	b     *binding
+}
+
+// compileVecJoinProbe compiles the probe (left) side of a join for the
+// vectorized path: an inner or left join whose probe is a bare base-table
+// scan over a ColScanner with a predicate that vectorizes. ok=false (nothing
+// opened, no I/O) sends the caller to the row path — including for unknown
+// tables, so open-error ordering stays exactly the row path's.
+func (e *Engine) compileVecJoinProbe(j *plan.Join) (*vecJoinProbe, bool) {
+	if j.Type != sqlparser.JoinInner && j.Type != sqlparser.JoinLeft {
+		return nil, false
+	}
+	s, ok := j.Left.(*plan.Scan)
+	if !ok {
+		return nil, false
+	}
+	cs, ok := e.src.(ColScanner)
+	if !ok {
+		return nil, false
+	}
+	rel, err := RelationSchema(e.src, s.Table)
+	if err != nil {
+		return nil, false
+	}
+	full := bindingFromRelation(rel, scanQual(s))
+	var conds []sqlparser.Expr
+	if s.Predicate != nil {
+		conds = append(conds, s.Predicate)
+	}
+	p, ok := compileVecScan(rel, full, conds, e.scanColumns(s, &plan.Block{}, full))
+	if !ok {
+		return nil, false
+	}
+	return &vecJoinProbe{cs: cs, table: s.Table, p: p, arity: rel.Arity(), b: p.outBinding()}, true
+}
 
 // vecJoinCore is the shared immutable state of one compiled vectorized
-// join: the probe scan plan, the partitioned build index, and the build
-// payload vectors. Safe for concurrent probes after construction.
+// join: the probe scan plan, the partitioned build index with its typed
+// fronts, and the build payload vectors. Safe for concurrent probes after
+// construction.
 type vecJoinCore struct {
-	p        *vecScanPlan
-	arity    int // probe base-table arity, for loadCols
+	probe    *vecJoinProbe
+	b        *binding         // the joined layout: probe columns, then build columns
+	rel      *schema.Relation // b as a relation
 	ix       *joinIndex
 	bvecs    []schema.ColVec
 	eqL      []int // key positions in the probe batch layout
 	leftJoin bool
-	lw, rw   int
-	out      []int // combined-layout positions to emit; identity unless retargeted
+
+	// Typed fronts of ix for a single key column, keyed by what identifies a
+	// canonical group key within its type — the identities groupTable's
+	// fronts use, so Int 1 still meets Float 1.0: nums by NumericKeyBits of an
+	// Int or Float build key, times by UnixNano, strs by the raw string. At
+	// most one is non-nil, chosen by the build key vector's type, and it holds
+	// every non-NULL build row, so a probe key of that type it misses matches
+	// nothing. A probe batch of another representation (a NULL mask, a boxed
+	// vector, a type of the other fronts) probes ix instead.
+	nums, times map[uint64][]int
+	strs        map[string][]int
 }
 
-// retarget narrows the emitted columns to the given combined-layout
-// positions, folding an all-column downstream projection into the gather
-// (the combined wide rows are then never materialized). Must be called
-// before the first probe.
-func (c *vecJoinCore) retarget(out []int) { c.out = out }
-
-// newVecJoinCore materializes the build side into vectors and builds the
-// partitioned key index (one partition when workers < 2).
-func newVecJoinCore(p *vecScanPlan, arity int, rb *binding, rrows schema.Rows, eqL, eqR []int, leftJoin bool, workers int) *vecJoinCore {
-	bcols := make([]schema.Column, len(rb.cols))
-	for i, c := range rb.cols {
-		if c.sens {
-			bcols[i] = schema.SensitiveCol(c.name, c.typ)
-		} else {
-			bcols[i] = schema.Col(c.name, c.typ)
-		}
-	}
-	bb := schema.BatchFromRows(schema.NewRelation("", bcols...), rrows)
+// newVecJoinCore indexes the build side (one partition when workers < 2):
+// build holds its rows, bound as rb.
+func newVecJoinCore(probe *vecJoinProbe, rb *binding, build *schema.ColBatch, eqL, eqR []int, leftJoin bool, workers int) *vecJoinCore {
 	core := &vecJoinCore{
-		p:        p,
-		arity:    arity,
-		bvecs:    bb.Vecs,
+		probe:    probe,
+		b:        probe.b.concat(rb),
+		ix:       buildColJoinIndex(build.Vecs, build.N, eqR, workers),
+		bvecs:    build.Vecs,
 		eqL:      eqL,
 		leftJoin: leftJoin,
-		lw:       p.m,
-		rw:       len(rb.cols),
 	}
-	core.ix = buildColJoinIndex(bb.Vecs, len(rrows), eqR, workers)
-	core.out = make([]int, core.lw+core.rw)
-	for i := range core.out {
-		core.out[i] = i
+	core.rel = core.b.relation("")
+	if len(eqR) == 1 {
+		core.buildFronts(&build.Vecs[eqR[0]], build.N)
 	}
 	return core
+}
+
+// buildFronts fills the typed front matching the build key vector through
+// the index, so front and index hold the same match lists.
+func (c *vecJoinCore) buildFronts(v *schema.ColVec, n int) {
+	if v.Boxed() {
+		return
+	}
+	var kbuf []byte
+	matches := func(i int) []int {
+		kbuf = v.AppendGroupKey(kbuf[:0], i)
+		return c.ix.lookup(kbuf)
+	}
+	switch v.Typ {
+	case schema.TypeString:
+		c.strs = make(map[string][]int)
+		for i := 0; i < n; i++ {
+			if !v.Null(i) && c.strs[v.Strs[i]] == nil {
+				c.strs[v.Strs[i]] = matches(i)
+			}
+		}
+	case schema.TypeInt, schema.TypeFloat, schema.TypeTime:
+		front := make(map[uint64][]int)
+		if v.Typ == schema.TypeTime {
+			c.times = front
+		} else {
+			c.nums = front
+		}
+		for i, b := range keyBits(nil, v, n, nil) {
+			if !v.Null(i) && front[b] == nil {
+				front[b] = matches(i)
+			}
+		}
+	}
+}
+
+// nullKey reports whether any key column is NULL at row i: such a row joins
+// nothing, on either side (NULL = NULL is not true).
+func nullKey(vecs []schema.ColVec, cols []int, i int) bool {
+	for _, c := range cols {
+		if vecs[c].Null(i) {
+			return true
+		}
+	}
+	return false
 }
 
 // buildColJoinIndex is the columnar twin of buildJoinIndex: build keys come
@@ -77,6 +163,9 @@ func buildColJoinIndex(bvecs []schema.ColVec, n int, eqR []int, workers int) *jo
 		m := make(map[string][]int, n)
 		var kbuf []byte
 		for i := 0; i < n; i++ {
+			if nullKey(bvecs, eqR, i) {
+				continue
+			}
 			kbuf = kbuf[:0]
 			for _, c := range eqR {
 				kbuf = bvecs[c].AppendGroupKey(kbuf, i)
@@ -91,6 +180,9 @@ func buildColJoinIndex(bvecs []schema.ColVec, n int, eqR []int, workers int) *jo
 	parallelRanges(n, workers, func(lo, hi int) {
 		var kbuf []byte
 		for i := lo; i < hi; i++ {
+			if nullKey(bvecs, eqR, i) {
+				continue // the empty key: partitionKeyIndex leaves it out
+			}
 			kbuf = kbuf[:0]
 			for _, c := range eqR {
 				kbuf = bvecs[c].AppendGroupKey(kbuf, i)
@@ -103,203 +195,173 @@ func buildColJoinIndex(bvecs []schema.ColVec, n int, eqR []int, workers int) *jo
 }
 
 // vecJoinExec is one goroutine's probe state: the filter executor, the key
-// scratch, and the match selection vectors (probe and build positions; a
-// build position of -1 is a left-join null extension).
+// scratch, the match selection vectors (probe and build positions; a build
+// position of -1 is a left-join null extension) and the joined batch.
 type vecJoinExec struct {
 	core       *vecJoinCore
 	ex         *vecExec
 	kbuf       []byte
+	bits       []uint64 // the live probe keys of a typed numeric or time batch
 	lsel, rsel []int
+	// keep: every joined batch is the consumer's to retain, so each gets
+	// fresh vectors; otherwise out and bufs are reused from batch to batch.
+	keep bool
+	out  schema.ColBatch
+	bufs []schema.ColVec // the previous batch's vectors
 }
 
-func newVecJoinExec(core *vecJoinCore) *vecJoinExec {
-	return &vecJoinExec{core: core, ex: newVecExec(core.p)}
+func newVecJoinExec(core *vecJoinCore, keep bool) *vecJoinExec {
+	return &vecJoinExec{core: core, ex: newVecExec(core.probe.p), keep: keep}
 }
 
-// probe filters one probe batch, probes the build index for each survivor,
-// and gathers the matched payloads into combined output rows. This is the
-// operator's documented pivot boundary: everything upstream of the returned
-// rows is columnar.
-func (e *vecJoinExec) probe(cb *schema.ColBatch) (schema.Rows, error) {
+// match records probe row i's matches, or its null extension.
+func (e *vecJoinExec) match(i int, matches []int) {
+	if len(matches) == 0 {
+		if e.core.leftJoin {
+			e.lsel = append(e.lsel, i)
+			e.rsel = append(e.rsel, -1)
+		}
+		return
+	}
+	for _, ri := range matches {
+		e.lsel = append(e.lsel, i)
+		e.rsel = append(e.rsel, ri)
+	}
+}
+
+// run filters one probe batch, probes the build side for each survivor and
+// gathers both sides' vectors by match index into the joined batch: dense
+// (no selection), in probe order, possibly empty. Nothing is pivoted.
+func (e *vecJoinExec) run(cb *schema.ColBatch) (*schema.ColBatch, error) {
 	c := e.core
 	sel, err := e.ex.filterSel(cb)
 	if err != nil {
 		return nil, err
 	}
-	lsel, rsel := e.lsel[:0], e.rsel[:0]
-	probeOne := func(i int) {
-		e.kbuf = e.kbuf[:0]
-		for _, k := range c.eqL {
-			e.kbuf = cb.Vecs[k].AppendGroupKey(e.kbuf, i)
-		}
-		matches := c.ix.lookup(e.kbuf)
-		if len(matches) == 0 {
-			if c.leftJoin {
-				lsel = append(lsel, i)
-				rsel = append(rsel, -1)
+	n := cb.N
+	if sel != nil {
+		n = len(sel)
+	}
+	e.lsel, e.rsel = e.lsel[:0], e.rsel[:0]
+	if !e.probeTyped(&cb.Vecs[c.eqL[0]], sel, n) {
+		for k := 0; k < n; k++ {
+			i := liveRow(sel, k)
+			if nullKey(cb.Vecs, c.eqL, i) {
+				e.match(i, nil)
+				continue
 			}
-			return
-		}
-		for _, ri := range matches {
-			lsel = append(lsel, i)
-			rsel = append(rsel, ri)
-		}
-	}
-	if sel == nil {
-		for i := 0; i < cb.N; i++ {
-			probeOne(i)
-		}
-	} else {
-		for _, i := range sel {
-			probeOne(i)
+			e.kbuf = e.kbuf[:0]
+			for _, col := range c.eqL {
+				e.kbuf = cb.Vecs[col].AppendGroupKey(e.kbuf, i)
+			}
+			e.match(i, c.ix.lookup(e.kbuf))
 		}
 	}
-	e.lsel, e.rsel = lsel, rsel
 
-	// Never nil on success: a nil Rows in a morsel means worker exhaustion
-	// to the exchange, and an all-filtered batch is not exhaustion.
-	nout := len(lsel)
-	if nout == 0 {
-		return schema.Rows{}, nil
+	// Under keep the vectors are fresh and leave with the batch; otherwise
+	// the previous batch's, which nobody reads any more, back this one's.
+	lw := len(c.probe.b.cols)
+	out := &e.out
+	if e.keep {
+		out = &schema.ColBatch{}
 	}
-	w := len(c.out)
-	vals := make([]schema.Value, nout*w)
-	rows := make(schema.Rows, nout)
-	for k := range rows {
-		rows[k] = vals[k*w : (k+1)*w : (k+1)*w]
+	if e.keep || e.bufs == nil {
+		e.bufs = make([]schema.ColVec, lw+len(c.bvecs))
 	}
-	for oc, pos := range c.out {
-		if pos < c.lw {
-			cb.Vecs[pos].Gather(vals[oc:], w, lsel)
+	*out = schema.ColBatch{Rel: c.rel, N: len(e.lsel), Vecs: e.bufs}
+	for pos := range e.bufs {
+		if pos < lw {
+			e.bufs[pos] = cb.Vecs[pos].Gather(e.lsel, e.bufs[pos])
 		} else {
-			c.bvecs[pos-c.lw].Gather(vals[oc:], w, rsel)
+			e.bufs[pos] = c.bvecs[pos-lw].Gather(e.rsel, e.bufs[pos])
 		}
 	}
-	return rows, nil
+	return out, nil
 }
 
-// vecJoinMorsels is the join as a morsel source: each claim filters, probes
-// and gathers its own batch on the claiming worker's goroutine against the
-// shared immutable core.
-type vecJoinMorsels struct {
-	src  schema.ColMorselSource
-	core *vecJoinCore
-	// sole is the one probe executor of a one-worker segment, its scratch
-	// reused across claims; nil when several workers claim concurrently and
-	// each claim builds its own.
-	sole *vecJoinExec
+// probeTyped probes a typed front with one dense key vector, reporting
+// false — nothing recorded — when this batch has to probe the encoded index.
+func (e *vecJoinExec) probeTyped(v *schema.ColVec, sel []int, n int) bool {
+	c := e.core
+	if len(c.eqL) != 1 || v.Boxed() || v.Nulls != nil {
+		return false
+	}
+	switch {
+	case v.Typ == schema.TypeString && c.strs != nil:
+		for k := 0; k < n; k++ {
+			i := liveRow(sel, k)
+			e.match(i, c.strs[v.Strs[i]])
+		}
+	case v.Typ == schema.TypeTime && c.times != nil:
+		e.probeBits(c.times, v, sel, n)
+	case (v.Typ == schema.TypeInt || v.Typ == schema.TypeFloat) && c.nums != nil:
+		e.probeBits(c.nums, v, sel, n)
+	default:
+		return false
+	}
+	return true
 }
 
-func newVecJoinMorsels(src schema.ColMorselSource, core *vecJoinCore, workers int) *vecJoinMorsels {
-	v := &vecJoinMorsels{src: src, core: core}
-	if workers == 1 {
-		v.sole = newVecJoinExec(core)
+// probeBits probes an 8-byte front with the live elements of a dense Int,
+// Float or Time vector.
+func (e *vecJoinExec) probeBits(front map[uint64][]int, v *schema.ColVec, sel []int, n int) {
+	e.bits = keyBits(e.bits, v, n, sel)
+	for k, b := range e.bits {
+		e.match(liveRow(sel, k), front[b])
 	}
-	return v
 }
 
-func (v *vecJoinMorsels) NextMorsel() (schema.Morsel, error) {
-	cm, err := v.src.NextColMorsel()
-	if err != nil {
-		return schema.Morsel{Seq: cm.Seq}, err
-	}
-	if cm.Batch == nil {
-		return schema.Morsel{}, nil
-	}
-	ex := v.sole
-	if ex == nil {
-		ex = newVecJoinExec(v.core)
-	}
-	rows, err := ex.probe(cm.Batch)
-	if err != nil {
-		return schema.Morsel{Seq: cm.Seq}, err
-	}
-	return schema.Morsel{Seq: cm.Seq, Rows: rows}, nil
+// vecJoinIter is the join as a schema.ColIterator: one joined batch per
+// probe batch that matched anything.
+type vecJoinIter struct {
+	src schema.ColIterator
+	ex  *vecJoinExec
 }
 
-func (v *vecJoinMorsels) Close() { v.src.Close() }
-
-// compileVecJoinProbe compiles the probe (left) side of a join for the
-// vectorized path: it must be a bare base-table scan over a ColScanner
-// whose predicate vectorizes. Returns the scan plan, the scan node, the
-// projected probe binding and the base-table arity. ok=false (nothing
-// opened, no I/O) sends the caller to the row path — including for unknown
-// tables, so open-error ordering stays exactly the row path's.
-func (e *Engine) compileVecJoinProbe(n plan.Node) (*vecScanPlan, *plan.Scan, *binding, int, bool) {
-	s, ok := n.(*plan.Scan)
-	if !ok {
-		return nil, nil, nil, 0, false
-	}
-	if _, ok := e.src.(ColScanner); !ok {
-		return nil, nil, nil, 0, false
-	}
-	rel, err := RelationSchema(e.src, s.Table)
-	if err != nil {
-		return nil, nil, nil, 0, false
-	}
-	qual := s.Table
-	if s.Alias != "" {
-		qual = s.Alias
-	}
-	full := bindingFromRelation(rel, qual)
-	var conds []sqlparser.Expr
-	if s.Predicate != nil {
-		conds = append(conds, s.Predicate)
-	}
-	b := full
-	cols := e.scanColumns(s, &plan.Block{}, full)
-	if cols != nil {
-		b = bindingFromRelation(rel.Project(cols), qual)
-	}
-	p, ok := compileVecScan(rel, qual, full, conds, cols)
-	if !ok {
-		return nil, nil, nil, 0, false
-	}
-	return p, s, b, rel.Arity(), true
-}
-
-// openVecJoin tries the vectorized probe for a join. handled=false means
-// nothing was opened and the caller owns the row path. When handled is true
-// the vec path owns the join — including the late declines (no equi key,
-// residual ON conjuncts) discovered only after draining the build side,
-// which fall back to the row probe over the already-drained build rows.
-func (e *Engine) openVecJoin(ctx context.Context, j *plan.Join, workers int) (*parSeg, bool, error) {
-	if j.Type != sqlparser.JoinInner && j.Type != sqlparser.JoinLeft {
-		return nil, false, nil
-	}
-	p, s, pb, arity, ok := e.compileVecJoinProbe(j.Left)
-	if !ok {
-		return nil, false, nil
-	}
-	rb, rrows, err := e.drainBuildSide(ctx, j.Right)
-	if err != nil {
-		return nil, true, err
-	}
-	eqL, eqR, rest := splitEquiJoin(j.On, pb, rb)
-	if len(eqL) == 0 || len(rest) > 0 {
-		left, err := e.openJoinSide(ctx, j.Left, workers)
+func (j *vecJoinIter) NextBatch() (*schema.ColBatch, error) {
+	for {
+		cb, err := j.src.NextBatch()
+		if err != nil || cb == nil {
+			return nil, err
+		}
+		out, err := j.ex.run(cb)
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
-		return joinFromBuild(j, left, rb, rrows), true, nil
+		if out.N > 0 {
+			return out, nil
+		}
 	}
-	core := newVecJoinCore(p, arity, rb, rrows, eqL, eqR, j.Type == sqlparser.JoinLeft, workers)
-	ms, err := e.src.(ColScanner).OpenColMorsels(ctx, s.Table, p.colScan(arity))
-	if err != nil {
-		return nil, true, err
-	}
-	return &parSeg{b: pb.concat(rb), ms: newVecJoinMorsels(ms, core, workers), workers: workers}, true, nil
 }
 
-// projOutMap flattens an all-plain-column projection into source positions;
-// ok=false when any output column computes an expression.
-func projOutMap(p *projector) ([]int, bool) {
-	om := make([]int, len(p.cols))
-	for i, c := range p.cols {
-		if c.starIdx < 0 {
-			return nil, false
-		}
-		om[i] = c.starIdx
+func (j *vecJoinIter) Close() { j.src.Close() }
+
+// source is the join as the input of a whole-block kernel: the joined
+// batches, with the block's residual filters compiled over the joined
+// layout. nil when they do not compile.
+func (c *vecJoinCore) source(blk *plan.Block) *vecSource {
+	p, ok := compileVecScan(c.rel, c.b, blk.FilterConds(), nil)
+	if !ok {
+		return nil
 	}
-	return om, true
+	return &vecSource{p: p, open: func(ctx context.Context, keep bool) (schema.ColIterator, error) {
+		ci, err := c.probe.cs.OpenColScan(ctx, c.probe.table, c.probe.p.colScan(c.probe.arity))
+		if err != nil {
+			return nil, err
+		}
+		return &vecJoinIter{src: ci, ex: newVecJoinExec(c, keep)}, nil
+	}}
+}
+
+// segment is the join as a morsel source for the row stages: each claim
+// filters, probes and gathers its own batch on the claiming worker's
+// goroutine against the shared immutable core, and the segment's adapter
+// pivots the joined batch.
+func (c *vecJoinCore) segment(ctx context.Context, workers int) (*parSeg, error) {
+	ms, err := c.probe.cs.OpenColMorsels(ctx, c.probe.table, c.probe.p.colScan(c.probe.arity))
+	if err != nil {
+		return nil, err
+	}
+	mk := func() colStage { return newVecJoinExec(c, false) }
+	return &parSeg{b: c.b, ms: newVecMorsels(ms, mk, workers), workers: workers}, nil
 }

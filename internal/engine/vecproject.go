@@ -382,16 +382,16 @@ type projItem struct {
 	node pnode
 }
 
-// openVecProject compiles a plain single-table SELECT — no breaker, no
-// DISTINCT. A select list of stars and plain columns needs no evaluation at
-// all and is served as column batches (vecPassIter, vecblock.go); expression
-// items must all vectorize, and their results leave as rows. The contract is
-// openVecBlock's.
-func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, string, error) {
-	p, rel, ok := e.vecBlockScan(s, blk)
-	if !ok {
+// openVecProject compiles a plain SELECT over a columnar source — no
+// breaker, no DISTINCT. A select list of stars and plain columns needs no
+// evaluation at all and is served as column batches (vecPassIter,
+// vecblock.go); expression items must all vectorize, and their results leave
+// as rows. The contract is openVecBlock's.
+func (e *Engine) openVecProject(ctx context.Context, vs *vecSource, blk *plan.Block) (*schema.Relation, schema.RowIterator, string, error) {
+	if vs == nil {
 		return nil, nil, DeclineProjection, nil
 	}
+	p := vs.p
 	proj, err := buildProjector(blk.Items(), p.lb)
 	if err != nil {
 		return nil, nil, DeclineProjection, nil // row path reports the projection error
@@ -417,7 +417,8 @@ func (e *Engine) openVecProject(ctx context.Context, cs ColScanner, s *plan.Scan
 		return nil, nil, DeclineLimit, nil
 	}
 
-	ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
+	// The pass hands its batches on; the projection pivots each at once.
+	ci, err := vs.open(ctx, exprs == 0)
 	if err != nil {
 		return nil, nil, "", err
 	}

@@ -51,16 +51,18 @@ type vecScanPlan struct {
 	orel *schema.Relation
 }
 
-// compileVecScan builds a vectorized plan for a base-table scan with the
-// given filter conjuncts and output projection (outCols nil = full width).
-// It reports ok=false when the scan cannot be vectorized faithfully (an
-// unresolvable residual column); the caller then uses the row path.
+// compileVecScan builds a vectorized plan over a columnar input laid out as
+// rel and bound as full — a base table under its qualifier, or a join's
+// combined layout — with the given filter conjuncts and output projection
+// (outCols nil = full width). It reports ok=false when the filters cannot be
+// vectorized faithfully (an unresolvable residual column); the caller then
+// uses the row path.
 //
 // Kernels take the longest compilable *prefix* of the conjunct list: a
 // kernelizable conjunct behind a non-kernelizable one must not run early,
 // because the row path would have short-circuited rows the earlier conjunct
 // rejects or errors on.
-func compileVecScan(rel *schema.Relation, qual string, full *binding, conds []sqlparser.Expr, outCols []int) (*vecScanPlan, bool) {
+func compileVecScan(rel *schema.Relation, full *binding, conds []sqlparser.Expr, outCols []int) (*vecScanPlan, bool) {
 	p := &vecScanPlan{}
 	if outCols == nil {
 		p.load = make([]int, rel.Arity())
@@ -109,9 +111,12 @@ func compileVecScan(rel *schema.Relation, qual string, full *binding, conds []sq
 
 	p.lrel = rel.Project(p.load)
 	p.orel = rel.Project(p.load[:p.m])
-	p.lb = bindingFromRelation(p.lrel, qual)
+	p.lb = full.project(p.load)
 	return p, true
 }
+
+// outBinding binds the output columns, the first m of the load layout.
+func (p *vecScanPlan) outBinding() *binding { return &binding{cols: p.lb.cols[:p.m]} }
 
 // loadCols is the column set to request from the source: nil when the load
 // layout is the full identity, which lets the store serve full-width
@@ -144,6 +149,7 @@ type vecExec struct {
 	p    *vecScanPlan
 	a, b selBuf
 	env  *rowEnv
+	out  schema.ColBatch // run's result header
 }
 
 // filters reports whether the plan drops rows at all; without it a batch's
@@ -239,39 +245,58 @@ func (x *vecExec) filterSel(cb *schema.ColBatch) ([]int, error) {
 	return sel, nil
 }
 
-// apply filters one batch and pivots the survivors into the output layout.
-// The result is never nil.
-func (x *vecExec) apply(cb *schema.ColBatch) (schema.Rows, error) {
+// colStage is what a segment does to each column batch it claims before the
+// batch is pivoted for the row stages: a scan filters it (vecExec), a join
+// filters and probes it (vecJoinExec). One instance is one goroutine's state,
+// and the batch it returns need only stay valid until its next run.
+type colStage interface {
+	run(cb *schema.ColBatch) (*schema.ColBatch, error)
+}
+
+// run filters one batch down to the output layout: the scan's own vectors
+// under the surviving selection.
+func (x *vecExec) run(cb *schema.ColBatch) (*schema.ColBatch, error) {
 	sel, err := x.filterSel(cb)
 	if err != nil {
 		return nil, err
 	}
-	out := schema.ColBatch{Rel: x.p.orel, Vecs: cb.Vecs[:x.p.m], N: cb.N, Sel: sel}
+	x.out = schema.ColBatch{Rel: x.p.orel, Vecs: cb.Vecs[:x.p.m], N: cb.N, Sel: sel}
 	if x.p.m == len(cb.Vecs) {
 		// Full-width output: forward the store's row view (when present) so
 		// survivors are gathered as references, not re-materialized.
-		out.View = cb.View
+		x.out.View = cb.View
 	}
-	return out.Rows(), nil
+	return &x.out, nil
 }
 
-// vecMorsels adapts a columnar morsel source to the row-morsel surface:
-// each claim filters and pivots its batch on the claiming worker's
-// goroutine, so kernels run in parallel and no scan stage is needed.
+// vecMorsels adapts a columnar morsel source to the row-morsel surface — the
+// one place a segment's column batches become rows: each claim runs its
+// stage and pivots the result on the claiming worker's goroutine, so kernels
+// and probes run in parallel and no scan stage is needed.
 type vecMorsels struct {
 	src schema.ColMorselSource
-	p   *vecScanPlan
-	// sole is the one executor of a one-worker segment, its scratch reused
+	mk  func() colStage
+	// sole is the one stage of a one-worker segment, its scratch reused
 	// across claims; nil when several workers claim concurrently and each
 	// claim builds its own.
-	sole *vecExec
+	sole colStage
+	// exact: the stage emits every row it claims, so the source's remaining
+	// row count is the segment's.
+	exact bool
 }
 
-func newVecMorsels(src schema.ColMorselSource, p *vecScanPlan, workers int) *vecMorsels {
-	v := &vecMorsels{src: src, p: p}
+func newVecMorsels(src schema.ColMorselSource, mk func() colStage, workers int) *vecMorsels {
+	v := &vecMorsels{src: src, mk: mk}
 	if workers == 1 {
-		v.sole = newVecExec(p)
+		v.sole = mk()
 	}
+	return v
+}
+
+// newVecScanMorsels is the morsel source of a scan segment.
+func newVecScanMorsels(src schema.ColMorselSource, p *vecScanPlan, workers int) *vecMorsels {
+	v := newVecMorsels(src, func() colStage { return newVecExec(p) }, workers)
+	v.exact = !p.filters()
 	return v
 }
 
@@ -283,15 +308,17 @@ func (v *vecMorsels) NextMorsel() (schema.Morsel, error) {
 	if cm.Batch == nil {
 		return schema.Morsel{}, nil
 	}
-	ex := v.sole
-	if ex == nil {
-		ex = newVecExec(v.p)
+	st := v.sole
+	if st == nil {
+		st = v.mk()
 	}
-	rows, err := ex.apply(cm.Batch)
+	out, err := st.run(cm.Batch)
 	if err != nil {
 		return schema.Morsel{Seq: cm.Seq}, err
 	}
-	return schema.Morsel{Seq: cm.Seq, Rows: rows}, nil
+	// Rows() is never nil: a nil Rows in a morsel means worker exhaustion to
+	// the exchange, and an all-filtered batch is not exhaustion.
+	return schema.Morsel{Seq: cm.Seq, Rows: out.Rows()}, nil
 }
 
 func (v *vecMorsels) Close() { v.src.Close() }
@@ -299,7 +326,7 @@ func (v *vecMorsels) Close() { v.src.Close() }
 // SizeHint forwards the source's remaining row count when nothing filters,
 // so a breaker draining the segment pre-sizes its buffer once.
 func (v *vecMorsels) SizeHint() int {
-	if h, ok := v.src.(schema.SizeHinter); ok && !v.p.filters() {
+	if h, ok := v.src.(schema.SizeHinter); ok && v.exact {
 		return h.SizeHint()
 	}
 	return 0

@@ -154,24 +154,22 @@ func (ks *sortKeys) siftDown(h []int, i int) {
 	}
 }
 
-// openVecSorted runs ORDER BY [LIMIT] over a single-table block whose select
-// list and sort keys are all plain columns, without the row path's pivot of
+// openVecSorted runs ORDER BY [LIMIT] over a block on a columnar source — a
+// scan or a vectorized join — whose select list and sort keys are all plain
+// columns, without the row path's pivot of
 // the whole input: the sort keys come straight off the key vectors
 // (drainSortKeys), the same typed comparator, top-K heap and NaN rule as
 // sortResult order them, and only the rows of the final permutation — the
 // LIMIT's 20 of 240 000 — are ever built. Expression keys or items, DISTINCT
 // and windows stay with evalBroken, the reference.
-func (e *Engine) openVecSorted(ctx context.Context, cs ColScanner, s *plan.Scan, blk *plan.Block) (*schema.Relation, schema.RowIterator, error) {
-	if blk.Distinct != nil {
+func (e *Engine) openVecSorted(ctx context.Context, vs *vecSource, blk *plan.Block) (*schema.Relation, schema.RowIterator, error) {
+	if vs == nil || blk.Distinct != nil {
 		return nil, nil, nil
 	}
-	p, rel, ok := e.vecBlockScan(s, blk)
-	if !ok {
-		return nil, nil, nil
-	}
+	p := vs.p
 	// The row path binds select list and sort keys to the scan's output
 	// columns, never to the residual-only tail of the load layout.
-	ob := &binding{cols: p.lb.cols[:p.m]}
+	ob := p.outBinding()
 	proj, err := buildProjector(blk.Items(), ob)
 	if err != nil {
 		return nil, nil, nil // row path reports the projection error
@@ -192,7 +190,7 @@ func (e *Engine) openVecSorted(ctx context.Context, cs ColScanner, s *plan.Scan,
 		}
 	}
 
-	ci, err := cs.OpenColScan(ctx, s.Table, p.colScan(rel.Arity()))
+	ci, err := vs.open(ctx, true) // the run retains every batch until the pivot
 	if err != nil {
 		return nil, nil, err
 	}

@@ -341,53 +341,66 @@ func (v *ColVec) Fill(dst []Value, stride, n int, sel []int) {
 	}
 }
 
-// Gather is Fill for arbitrary gather lists: element k of sel is written to
-// dst[k*stride]. Unlike Fill's selection vectors, sel may repeat indices
-// (one probe row matching many build rows) and may contain -1, which leaves
-// the slot as the zero Value — SQL NULL — for left-join null extension.
-// NULL source positions are likewise skipped.
-func (v *ColVec) Gather(dst []Value, stride int, sel []int) {
+// Gather returns the elements idx names, in that order, as a vector of the
+// receiver's representation: a typed payload stays typed and keeps its NULL
+// mask (nil when nothing gathered is NULL), a boxed vector stays boxed.
+// Unlike a selection vector, idx may repeat positions (one probe row matching
+// many build rows) and may hold -1, which yields SQL NULL — a left join's
+// null extension. The result is backed by buf's arrays where they are large
+// enough: pass the zero ColVec for a vector the caller may keep, or an earlier
+// result nobody reads any more to reuse it.
+func (v *ColVec) Gather(idx []int, buf ColVec) ColVec {
+	out := ColVec{Typ: v.Typ}
 	if v.Box != nil {
-		for k, i := range sel {
-			if i >= 0 {
-				dst[k*stride] = v.Box[i]
-			}
-		}
-		return
+		out.Box = gather(v.Box, buf.Box, idx) // the zero Value is NULL
+		return out
 	}
-	nulls := v.Nulls
+	for k, i := range idx {
+		if i < 0 || (v.Nulls != nil && v.Nulls[i]) {
+			if out.Nulls == nil {
+				out.Nulls = sized(buf.Nulls, len(idx))
+				clear(out.Nulls)
+			}
+			out.Nulls[k] = true
+		}
+	}
 	switch v.Typ {
 	case TypeBool:
-		for k, i := range sel {
-			if i >= 0 && (nulls == nil || !nulls[i]) {
-				dst[k*stride] = Value{typ: TypeBool, b: v.Bools[i]}
-			}
-		}
+		out.Bools = gather(v.Bools, buf.Bools, idx)
 	case TypeInt:
-		for k, i := range sel {
-			if i >= 0 && (nulls == nil || !nulls[i]) {
-				dst[k*stride] = Value{typ: TypeInt, i: v.Ints[i]}
-			}
-		}
+		out.Ints = gather(v.Ints, buf.Ints, idx)
 	case TypeFloat:
-		for k, i := range sel {
-			if i >= 0 && (nulls == nil || !nulls[i]) {
-				dst[k*stride] = Value{typ: TypeFloat, f: v.Floats[i]}
-			}
-		}
+		out.Floats = gather(v.Floats, buf.Floats, idx)
 	case TypeString:
-		for k, i := range sel {
-			if i >= 0 && (nulls == nil || !nulls[i]) {
-				dst[k*stride] = Value{typ: TypeString, s: v.Strs[i]}
-			}
-		}
+		out.Strs = gather(v.Strs, buf.Strs, idx)
 	case TypeTime:
-		for k, i := range sel {
-			if i >= 0 && (nulls == nil || !nulls[i]) {
-				dst[k*stride] = Value{typ: TypeTime, t: v.Times[i]}
-			}
+		out.Times = gather(v.Times, buf.Times, idx)
+	}
+	return out
+}
+
+// gather copies src[i] for every i of idx; a negative i leaves the zero
+// element, the slot behind a NULL mask entry.
+func gather[T any](src, buf []T, idx []int) []T {
+	out := sized(buf, len(idx))
+	var zero T
+	for k, i := range idx {
+		if i >= 0 {
+			out[k] = src[i]
+		} else {
+			out[k] = zero
 		}
 	}
+	return out
+}
+
+// sized returns buf resliced to n elements, or a fresh slice when it is nil
+// or too small; never nil, so an empty boxed gather stays boxed.
+func sized[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // ColBatch is one unit of columnar data flow: a set of equally long column

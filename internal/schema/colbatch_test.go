@@ -272,3 +272,53 @@ func TestBatchWireSizeMatchesRows(t *testing.T) {
 	masked := ColVec{Typ: TypeString, Strs: []string{"hidden", "x"}, Nulls: []bool{true, false}}
 	check("payload behind a NULL", &ColBatch{Rel: NewRelation("p", Col("s", TypeString)), Vecs: []ColVec{masked}, N: 2})
 }
+
+// TestColVecGather: a gather keeps the vector's representation — typed
+// payload, NULL mask only where something gathered is NULL, boxed stays
+// boxed — repeats positions, turns -1 into NULL, and writes into the buffer
+// it is given without leaving anything of the buffer's past behind.
+func TestColVecGather(t *testing.T) {
+	rel, rows := pivotRel(), pivotRows()
+	cb := BatchFromRows(rel, rows)
+	idx := []int{3, 0, 0, -1, 2, 1, 3}
+	check := func(label string, v *ColVec, got ColVec) {
+		t.Helper()
+		if got.Boxed() != v.Boxed() || got.Typ != v.Typ {
+			t.Fatalf("%s: representation changed: boxed %v -> %v, type %v -> %v", label, v.Boxed(), got.Boxed(), v.Typ, got.Typ)
+		}
+		if got.Len() != len(idx) {
+			t.Fatalf("%s: %d elements, want %d", label, got.Len(), len(idx))
+		}
+		for k, i := range idx {
+			want := Null()
+			if i >= 0 {
+				want = v.Value(i)
+			}
+			if !rowsEqual(Rows{{got.Value(k)}}, Rows{{want}}) {
+				t.Fatalf("%s[%d]: %s, want %s", label, k, got.Value(k).Format(), want.Format())
+			}
+		}
+	}
+	boxed := NewColVec(TypeInt)
+	for _, v := range []Value{Int(1), String("x"), Null(), Float(1.0)} {
+		boxed.Append(v)
+	}
+	vecs := append([]ColVec{boxed}, cb.Vecs...)
+	for c := range vecs {
+		v := &vecs[c]
+		fresh := v.Gather(idx, ColVec{})
+		check("fresh", v, fresh)
+		// Reuse: the buffer last held a longer gather with NULLs elsewhere.
+		buf := v.Gather([]int{-1, 1, 1, 1, 0, 0, 0, -1, 2}, ColVec{})
+		check("reused", v, v.Gather(idx, buf))
+	}
+	// No NULL gathered: no mask, even out of a masked vector into a masked
+	// buffer. An empty boxed gather is still boxed.
+	ints := &cb.Vecs[1]
+	if got := ints.Gather([]int{0, 1, 0}, ints.Gather([]int{2, -1}, ColVec{})); got.Nulls != nil {
+		t.Fatalf("dense gather carries a mask: %v", got.Nulls)
+	}
+	if got := boxed.Gather(nil, ColVec{}); !got.Boxed() || got.Len() != 0 {
+		t.Fatalf("empty boxed gather: boxed=%v len=%d", got.Boxed(), got.Len())
+	}
+}

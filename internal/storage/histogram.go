@@ -192,20 +192,14 @@ func mergeHist(dst, src *Histogram) {
 
 // mergedHistLocked builds the table-level histogram for column i: sealed
 // segments' seal-time histograms resampled onto the table's current
-// [min, max], plus the active tail binned on demand (bounded by the
-// segment size). Caller holds at least a read lock.
+// [min, max] (memoized, see mergeSealedHist), plus the active tail binned on
+// demand (bounded by the segment size). Caller holds at least a read lock.
 func (t *Table) mergedHistLocked(i int, cs ColumnStats) *Histogram {
 	if !cs.HasRange {
 		return nil
 	}
 	out := &Histogram{Min: cs.Min, Max: cs.Max, Counts: make([]int64, histBuckets)}
-	any := false
-	for _, seg := range t.sealed {
-		if i < len(seg.hist) && seg.hist[i] != nil {
-			mergeHist(out, seg.hist[i])
-			any = true
-		}
-	}
+	any := t.mergeSealedHist(out, i)
 	if t.tailRows > 0 {
 		z := zoneEntryOf(&t.segStats[i], int64(t.tailRows))
 		if z.HasNum {
@@ -217,4 +211,51 @@ func (t *Table) mergedHistLocked(i int, cs ColumnStats) *Histogram {
 		return nil
 	}
 	return out
+}
+
+// histMemo is the sealed part of one column's table-level histogram: every
+// sealed segment's histogram resampled onto [min, max]. It changes only when
+// a segment seals or the column's range moves, while Stats runs on every
+// plan-cache miss — re-merging 59 segments per column was most of a miss.
+type histMemo struct {
+	sealed   int // how many sealed segments it covers
+	min, max float64
+	counts   []int64 // nil: nothing memoized yet
+	any      bool    // some covered segment had a histogram for the column
+}
+
+// mergeSealedHist adds the sealed segments' histograms for column i to out
+// (empty, its range set) and reports whether there was any: from the memo
+// when it covers the same segments over the same range, else merged afresh
+// and remembered. Caller holds at least a read lock; histMu orders the
+// readers among themselves.
+func (t *Table) mergeSealedHist(out *Histogram, i int) bool {
+	t.histMu.Lock()
+	defer t.histMu.Unlock()
+	if t.hists == nil {
+		t.hists = make([]histMemo, len(t.stats))
+	}
+	m := &t.hists[i]
+	if m.counts != nil && m.sealed == len(t.sealed) && m.min == out.Min && m.max == out.Max {
+		copy(out.Counts, m.counts)
+		return m.any
+	}
+	any := false
+	for _, seg := range t.sealed {
+		if i < len(seg.hist) && seg.hist[i] != nil {
+			mergeHist(out, seg.hist[i])
+			any = true
+		}
+	}
+	*m = histMemo{sealed: len(t.sealed), min: out.Min, max: out.Max,
+		counts: append([]int64{}, out.Counts...), any: any}
+	return any
+}
+
+// dropHistMemo forgets the memoized sealed merges: the sealed segments
+// changed.
+func (t *Table) dropHistMemo() {
+	t.histMu.Lock()
+	t.hists = nil
+	t.histMu.Unlock()
 }

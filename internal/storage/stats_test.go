@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -225,4 +226,106 @@ func TestStatsConcurrentAppendAndRead(t *testing.T) {
 	if got := st.Cols[1].NDV; got != writers*perWriter {
 		t.Fatalf("i NDV = %d, want %d (all distinct, below sketch bound)", got, writers*perWriter)
 	}
+}
+
+// TestStatsHistogramMemoMatchesFreshMerge: Stats memoizes the merge of the
+// sealed segments' histograms per column. Through append → seal → append
+// (the range widening, then only the tail growing) → truncate → re-ingest →
+// recover from disk, a snapshot served from the memo must equal, bucket for
+// bucket, the one merged afresh; two concurrent readers share the memo
+// race-free.
+func TestStatsHistogramMemoMatchesFreshMerge(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Store {
+		b, err := NewDiskBackend(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewStoreWith(Config{SegmentRows: 64, Backend: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	check := func(step string, tab *Table, wantHist bool) {
+		t.Helper()
+		first := tab.Stats() // over whatever memo the steps before left
+		var memoized [2]TableStats
+		var wg sync.WaitGroup
+		for r := range memoized {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				memoized[r] = tab.Stats()
+			}(r)
+		}
+		wg.Wait()
+		// The reference merges afresh behind the memo's back, so the memo
+		// lives on from step to step as it does in a serving store.
+		memo := tab.hists
+		tab.hists = nil
+		fresh := tab.Stats()
+		tab.hists = memo
+		for _, got := range append(memoized[:], first) {
+			if !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("%s: memoized stats differ from the fresh merge:\n%+v\n%+v", step, got, fresh)
+			}
+		}
+		if has := fresh.Cols[0].Hist != nil; has != wantHist {
+			t.Fatalf("%s: histogram present = %v, want %v", step, has, wantHist)
+		}
+	}
+	// Either way f spans [0, 144]; skewed, most of it sits low.
+	appendRows := func(tab *Table, lo, hi int, skewed bool) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			f := schema.Float(float64(i%97) * 1.5)
+			if skewed {
+				f = schema.Float(float64((i%97)*(i%97)) / 64)
+			}
+			if i%13 == 0 {
+				f = schema.Null()
+			}
+			if err := tab.Append(schema.Row{f, schema.Int(int64(i)), schema.String("s")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	st := open()
+	tab, err := st.CreateTable(statsRelation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("empty", tab, false)
+	appendRows(tab, 0, 40, false)
+	check("tail only", tab, true)
+	appendRows(tab, 40, 300, false) // four seals; column i's range grows with every row
+	check("sealed + tail", tab, true)
+	appendRows(tab, 300, 310, false) // same sealed prefix: i's range moved, f's did not
+	check("tail grew", tab, true)
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed", tab, true)
+	tab.Truncate()
+	check("truncated", tab, false)
+	// As many segments as before, over the same range, holding other data:
+	// only the invalidation tells this memo from the last.
+	appendRows(tab, 1000, 1310, true)
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("re-ingested", tab, true)
+
+	rec, err := open().Table("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("recovered", rec, true)
+	if got, want := rec.Stats(), tab.Stats(); !reflect.DeepEqual(got.Cols[0].Hist, want.Cols[0].Hist) {
+		t.Fatalf("recovered histogram differs from the one it was written from:\n%+v\n%+v", got.Cols[0].Hist, want.Cols[0].Hist)
+	}
+	appendRows(rec, 1310, 1340, true)
+	check("recovered + tail", rec, true)
 }

@@ -92,6 +92,11 @@ type Table struct {
 	stats    []colStat
 	segStats []colStat
 
+	// hists memoizes, per column, the sealed segments' merged histogram for
+	// Stats (histogram.go); histMu guards it among readers of mu.
+	histMu sync.Mutex
+	hists  []histMemo
+
 	// Pruning-effectiveness counters, exposed via Store.StorageStats.
 	segsScanned atomic.Int64 // segments admitted by (or exempt from) pruning
 	segsSkipped atomic.Int64 // segments skipped by zone maps
@@ -212,6 +217,7 @@ func (t *Table) sealLocked() error {
 	t.sealed = append(t.sealed, seg)
 	t.sealedRows += n
 	t.sealedWire += t.tailWire
+	t.dropHistMemo()
 
 	// Fresh tail.
 	t.cols = make([]schema.ColVec, arity)
@@ -247,6 +253,7 @@ func (t *Table) attachRecovered(segs []*RecoveredSegment) {
 			}
 		}
 	}
+	t.dropHistMemo()
 }
 
 // Len returns the number of rows.
@@ -750,6 +757,7 @@ func (t *Table) Truncate() {
 	t.sealed = nil
 	t.sealedRows = 0
 	t.sealedWire = 0
+	t.dropHistMemo()
 	for i := range t.cols {
 		t.cols[i] = schema.NewColVec(t.schema.Columns[i].Type)
 	}

@@ -3,8 +3,13 @@
 #
 # internal/engine/veckernel.go is the vectorized inner loop: comparison and
 # NULL-test kernels that refine selection vectors over typed column payloads.
-# internal/engine/vecjoin.go is the vectorized hash-join probe: group-key
-# construction, selection-vector matching and gather over the same payloads.
+# internal/engine/vecjoin.go is the vectorized hash join, a columnar source:
+# group-key construction, typed probe fronts, selection-vector matching and a
+# typed gather (ColVec.Gather) of both sides into one joined column batch.
+# It neither takes nor returns a row: the build side arrives as a ColBatch,
+# and a consumer that wants rows pivots the joined batch at the segment's one
+# adapter (vecMorsels, vecscan.go). The pattern for this file is the tightest
+# — schema.Rows and []schema.Value are out too.
 # internal/engine/vecsort.go holds the typed sort keys (schema.KeyCol) the
 # ORDER BY and window paths compare unboxed, and the vectorized ORDER BY
 # (openVecSorted): its keys are appended from the key vectors
@@ -26,8 +31,8 @@
 # (ColBatch.Rows, ColBatch.RowAt, schema.Row values) the batch gets
 # re-materialized per row and the vectorized path silently degrades to the
 # row path with extra steps. Pivoting belongs to the boundary layers
-# (vecscan.go residuals, vecblock.go/vecgroup.go output, the join's
-# post-match gather into output rows), never to the kernels — and a stage
+# (vecscan.go residuals and the segment's morsel adapter,
+# vecblock.go/vecgroup.go output), never to the kernels — and a stage
 # boundary that pivots puts back the per-row boxing at every hop that the
 # columnar chain removed.
 set -eu
@@ -36,7 +41,11 @@ cd "$(dirname "$0")/.."
 status=0
 for f in internal/engine/veckernel.go internal/engine/vecjoin.go internal/engine/vecsort.go \
 	internal/fragment/colstage.go server/ndjson.go; do
-	hits=$(grep -n '\.Rows()\|RowAt\|schema\.Row\b' "$f" || true)
+	pattern='\.Rows()\|RowAt\|schema\.Row\b'
+	if [ "$f" = internal/engine/vecjoin.go ]; then
+		pattern='\.Rows()\|RowAt\|schema\.Rows\?\b\|\[\]schema\.Value'
+	fi
+	hits=$(grep -n "$pattern" "$f" || true)
 	if [ -n "$hits" ]; then
 		echo "$f must stay columnar — no row pivots inside kernels or stage boundaries"
 		echo "(ColBatch.Rows / RowAt / schema.Row belong to the pivot boundary):"
