@@ -24,10 +24,6 @@
 //	           (default 0 = all CPUs; 1 = serial)
 //	-explain   print the optimized logical plan (with policy provenance)
 //	           and the per-fragment plan trees with modeled sizes
-//	-fixed-placement  run every fragment at its MinLevel floor instead of
-//	           the cost-based placement search
-//	-reorder-joins    reorder inner equi-join clusters by modeled
-//	           intermediate size (smallest first)
 //	-audit     violating query to check against the released d'
 //	-journal   write the audit journal as JSON to this file
 //
@@ -96,8 +92,6 @@ func run() int {
 		rows     = flag.Int("rows", 10, "print up to N result rows")
 		parallel = flag.Int("parallel", 0, "worker goroutines per query pipeline (0 = all CPUs, 1 = serial)")
 		explain  = flag.Bool("explain", false, "print the optimized logical plan and per-fragment plan trees")
-		fixed    = flag.Bool("fixed-placement", false, "place every fragment at its MinLevel floor instead of the cost-based search")
-		reorder  = flag.Bool("reorder-joins", false, "reorder inner equi-join clusters smallest-modeled-intermediate-first")
 		auditQ   = flag.String("audit", "", "violating query to audit against the released d' (query containment)")
 		journalP = flag.String("journal", "", "write the audit journal as JSON to this file")
 	)
@@ -139,8 +133,6 @@ func run() int {
 		paradise.WithPolicy(pol),
 		paradise.WithJournal(journal),
 		paradise.WithParallelism(*parallel),
-		paradise.WithCostBasedPlacement(!*fixed),
-		paradise.WithJoinReordering(*reorder),
 		paradise.WithAnonymization(paradise.AnonConfig{
 			Method:  paradise.AnonMethod(*anon),
 			K:       *k,

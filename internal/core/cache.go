@@ -204,15 +204,6 @@ func (p *Processor) cacheKey(sel *sqlparser.Select, mod *policy.Module) string {
 	b.WriteString(p.polFP)
 	b.WriteByte(0)
 	b.WriteString(strconv.FormatUint(p.store.Epoch(), 10))
-	b.WriteByte(0)
-	// Planning-mode flags: the same statement compiles to different plans
-	// under fixed vs cost-based placement and with/without join reordering.
-	if p.fixedPlace {
-		b.WriteByte('f')
-	}
-	if p.reorder {
-		b.WriteByte('r')
-	}
 	return b.String()
 }
 
@@ -265,10 +256,10 @@ func optimizeFragments(plan *fragment.Plan, cat logical.Catalog) {
 }
 
 // compileStatement runs the per-statement compilation pipeline: rewrite →
-// lower → annotate → [reorder] → fragment → [place] → optimize fragments.
-// The two bracketed cost-based steps consult the store's live statistics;
-// the placement they bake into the plan persists for the entry's cache
-// lifetime (until DDL shifts the epoch or the LRU evicts it).
+// lower → annotate → fragment → place → optimize fragments. The cost-based
+// placement consults the store's live statistics; the placement it bakes
+// into the plan persists for the entry's cache lifetime (until DDL shifts
+// the epoch or the LRU evicts it).
 func (p *Processor) compileStatement(sel *sqlparser.Select, mod *policy.Module) (*prepared, error) {
 	rewritten, rep, err := p.rewriter.Rewrite(sel, mod)
 	if err != nil {
@@ -279,16 +270,11 @@ func (p *Processor) compileStatement(sel *sqlparser.Select, mod *policy.Module) 
 		return nil, err
 	}
 	rep.Annotate(root, mod.ID)
-	if p.reorder {
-		root = logical.ReorderJoins(root, p.statsSource())
-	}
 	plan, err := fragment.New().FromPlan(root)
 	if err != nil {
 		return nil, err
 	}
-	if !p.fixedPlace {
-		plan.PlaceCostBased(p.statsSource())
-	}
+	plan.PlaceCostBased(StoreStats(p.store))
 	optimizeFragments(plan, engine.New(p.store).Catalog())
 	return &prepared{
 		rewritten:    rewritten,

@@ -394,7 +394,7 @@ func TestCompiledFragmentsAreOptimized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.PlaceCostBased(p.statsSource())
+	plain.PlaceCostBased(StoreStats(p.store))
 	if len(pr.plan.Fragments) != 1 || len(plain.Fragments) != 1 {
 		t.Fatalf("join statement compiled to %d fragments, want 1", len(pr.plan.Fragments))
 	}

@@ -94,19 +94,6 @@ type Config struct {
 	// several processors over the same store — the policy fingerprint keeps
 	// their entries apart. Nil disables caching.
 	Cache *PlanCache
-	// FixedPlacement disables the cost-based fragment placement search:
-	// every fragment runs at its MinLevel floor, the fixed pre-search
-	// policy. The default (false) places each fragment at the rung
-	// minimizing modeled bytes crossing level boundaries, with MinLevel as
-	// a hard floor — privacy and capability are never traded for traffic.
-	// Placement changes only which node runs a stage, never its rows or
-	// the egress bytes.
-	FixedPlacement bool
-	// ReorderJoins enables greedy cost-based join reordering (smallest
-	// modeled intermediate first) on inner equi-join clusters before
-	// fragmentation. Off by default: reordering changes the fragment SQL
-	// surface, so callers opt in.
-	ReorderJoins bool
 }
 
 // Processor is the privacy-aware query processor.
@@ -123,11 +110,6 @@ type Processor struct {
 	// polFP is the policy fingerprint component of cache keys, computed
 	// once — the policy is immutable after validation.
 	polFP string
-	// fixedPlace and reorder mirror Config.FixedPlacement/ReorderJoins;
-	// both are cache-key components (the same SQL compiles to different
-	// plans under different planning modes).
-	fixedPlace bool
-	reorder    bool
 }
 
 // New validates the configuration and builds a Processor.
@@ -153,28 +135,26 @@ func New(cfg Config) (*Processor, error) {
 		par = runtime.GOMAXPROCS(0)
 	}
 	return &Processor{
-		store:      cfg.Store,
-		pol:        cfg.Policy,
-		topo:       topo,
-		rewriter:   rewrite.New(cfg.Store.Catalog(), cfg.Rewrite),
-		anon:       cfg.Anon,
-		maxLoss:    cfg.MaxInfoLoss,
-		journal:    cfg.Journal,
-		par:        par,
-		cache:      cfg.Cache,
-		polFP:      cfg.Policy.Fingerprint(),
-		fixedPlace: cfg.FixedPlacement,
-		reorder:    cfg.ReorderJoins,
+		store:    cfg.Store,
+		pol:      cfg.Policy,
+		topo:     topo,
+		rewriter: rewrite.New(cfg.Store.Catalog(), cfg.Rewrite),
+		anon:     cfg.Anon,
+		maxLoss:  cfg.MaxInfoLoss,
+		journal:  cfg.Journal,
+		par:      par,
+		cache:    cfg.Cache,
+		polFP:    cfg.Policy.Fingerprint(),
 	}, nil
 }
 
-// statsSource adapts the store's per-table statistics (row counts, wire
+// StoreStats adapts the store's per-table statistics (row counts, wire
 // bytes, per-column NDV/min/max/null counts) to the plan estimator's
-// interface. The closure reads the store live, so each compilation sees
-// the statistics as of compile time; cached plans keep the placement they
-// were compiled with until DDL shifts the schema epoch.
-func (p *Processor) statsSource() logical.Stats {
-	st := p.store
+// interface — the statistics cost-based placement ranks rungs with. The
+// closure reads the store live, so each compilation sees the statistics as
+// of compile time; cached plans keep the placement they were compiled with
+// until DDL shifts the schema epoch.
+func StoreStats(st *storage.Store) logical.Stats {
 	return func(table string) (*logical.TableStats, bool) {
 		ts, err := st.TableStats(table)
 		if err != nil {

@@ -236,7 +236,7 @@ func (e *Engine) openBlock(ctx context.Context, top plan.Node) (*schema.Relation
 	}
 	// Bind the pipeline head to ctx as well: sources are contracted to
 	// check ctx inside their scans, but this guarantees cancellation for
-	// any Source implementation (overlays, fan-in shards, adapters) and
+	// any Source implementation (fragment stage sources, adapters) and
 	// for a cancellation error overtaken inside the exchange.
 	return p.rel, schema.WithContext(ctx, out), decline, nil
 }

@@ -14,8 +14,8 @@ import (
 
 // BatchSource is an optional extension of Source: relations can be opened
 // as pulled batch scans with projection and predicate pushdown, and schemas
-// inspected without materializing rows. storage.Store implements it; the
-// fragment and network packages implement it for intermediate stage outputs.
+// inspected without materializing rows. storage.Store implements it, and the
+// fragment package implements it for intermediate stage outputs.
 type BatchSource interface {
 	Source
 	// RelationSchema returns the schema of the named relation without

@@ -11,9 +11,9 @@ import (
 // segStore is benchStore's segmented twin: the same deterministic corpus
 // in a store that seals every segRows rows (t ascends with the row index,
 // so segments carry disjoint t zone maps).
-func segStore(t testing.TB, n, segRows int, noPrune bool) *storage.Store {
+func segStore(t testing.TB, n, segRows int) *storage.Store {
 	t.Helper()
-	st, err := storage.NewStoreWith(storage.Config{SegmentRows: segRows, DisablePruning: noPrune})
+	st, err := storage.NewStoreWith(storage.Config{SegmentRows: segRows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func segStore(t testing.TB, n, segRows int, noPrune bool) *storage.Store {
 // segments, not merely stop pulling rows — the opened counter stays O(1)
 // while the table holds dozens of sealed segments.
 func TestLimitStopsOpeningSegments(t *testing.T) {
-	st := segStore(t, 10_000, 128, false) // 78 sealed segments + tail
+	st := segStore(t, 10_000, 128) // 78 sealed segments + tail
 	res, err := New(st).Query(context.Background(), "SELECT x, y FROM d LIMIT 10")
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +68,9 @@ func TestLimitStopsOpeningSegments(t *testing.T) {
 // TestPruningSkipsSegmentsUnderSQL drives zone-map pruning end-to-end
 // through SQL: a selective t-range predicate over the time-ordered corpus
 // must skip (not open) every segment outside the range, and the result
-// must equal the unpruned answer.
+// must equal the monolithic store's answer.
 func TestPruningSkipsSegmentsUnderSQL(t *testing.T) {
-	st := segStore(t, 10_000, 128, false)
+	st := segStore(t, 10_000, 128)
 	res, err := New(st).Query(context.Background(), "SELECT t FROM d WHERE t >= 9000 AND t < 9500")
 	if err != nil {
 		t.Fatal(err)
@@ -91,9 +91,10 @@ func TestPruningSkipsSegmentsUnderSQL(t *testing.T) {
 		t.Fatalf("selective range opened %d segments", stats.SegmentsOpened)
 	}
 
-	// Same query with pruning disabled: identical rows.
-	unpruned := segStore(t, 10_000, 128, true)
-	res2, err := New(unpruned).Query(context.Background(), "SELECT t FROM d WHERE t >= 9000 AND t < 9500")
+	// Reference: the monolithic store (never sealed, nothing to prune)
+	// returns identical rows.
+	mono := segStore(t, 10_000, 10_001)
+	res2, err := New(mono).Query(context.Background(), "SELECT t FROM d WHERE t >= 9000 AND t < 9500")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +106,8 @@ func TestPruningSkipsSegmentsUnderSQL(t *testing.T) {
 			t.Fatalf("pruning changed row %d", i)
 		}
 	}
-	if s := unpruned.StorageStats(); s.SegmentsSkipped != 0 {
-		t.Fatalf("DisablePruning still skipped %d segments", s.SegmentsSkipped)
+	if s := mono.StorageStats(); s.Segments != 0 || s.SegmentsSkipped != 0 {
+		t.Fatalf("reference store sealed %d segments, skipped %d", s.Segments, s.SegmentsSkipped)
 	}
 }
 
@@ -151,7 +152,7 @@ func TestPushdownDeclineShapes(t *testing.T) {
 		{"SELECT x FROM d WHERE x < y", 1},
 	}
 	for _, tc := range cases {
-		src := &predCapture{Store: segStore(t, 1_000, 128, false)}
+		src := &predCapture{Store: segStore(t, 1_000, 128)}
 		if _, err := New(src).Query(context.Background(), tc.sql); err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}

@@ -301,7 +301,7 @@ func TestVecJoinOverStageBatches(t *testing.T) {
 // O(n + batch) probe rows — the satisfied limit stops the probe scan opening
 // segments, as it does for a bare scan.
 func TestJoinLimitStopsOpeningSegments(t *testing.T) {
-	st := segStore(t, 10_000, 128, false) // 78 sealed probe segments + tail
+	st := segStore(t, 10_000, 128) // 78 sealed probe segments + tail
 	cells, err := st.CreateTable(schema.NewRelation("cells",
 		schema.Col("cell", schema.TypeInt), schema.Col("label", schema.TypeString)))
 	if err != nil {

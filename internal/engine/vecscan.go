@@ -10,8 +10,9 @@ import (
 // ColScanner is the optional source capability behind vectorized scans: a
 // source that can serve column batches (and columnar morsels) directly, so
 // filter kernels run over typed vectors and rejected rows are never pivoted
-// to row form. storage.Store implements it; fragment and network sources do
-// not, and those scans run the row-at-a-time scan stage (or the source's own
+// to row form. storage.Store implements it, and so does the fragment
+// chain's source for a stage fed column batches by the stage below; scans
+// over other sources run the row-at-a-time scan stage (or the source's own
 // pushed-down scan) instead.
 type ColScanner interface {
 	// OpenColScan opens a single-consumer columnar scan over the named

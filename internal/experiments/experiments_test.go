@@ -212,6 +212,22 @@ func TestFigure3FanInShapes(t *testing.T) {
 	if rows[2].SimTime > rows[0].SimTime {
 		t.Fatalf("64 sensors slower than 1: %v vs %v", rows[2].SimTime, rows[0].SimTime)
 	}
+	// Pinned exhibit values: the fan-in accounting is a deterministic
+	// simulated quantity, reported in milliseconds.
+	want := []struct {
+		egress int
+		sim    time.Duration
+	}{
+		{75, 6524 * time.Millisecond},
+		{75, 6122 * time.Millisecond},
+		{75, 6347 * time.Millisecond},
+	}
+	for i, w := range want {
+		if rows[i].EgressBytes != w.egress || rows[i].SimTime.Round(time.Millisecond) != w.sim {
+			t.Fatalf("%d sensors: egress %d, simulated %v; want %d, %v",
+				rows[i].Sensors, rows[i].EgressBytes, rows[i].SimTime.Round(time.Millisecond), w.egress, w.sim)
+		}
+	}
 }
 
 func TestGoldenPathShapes(t *testing.T) {

@@ -15,4 +15,6 @@
 // streaming path (Open + drain) and the materialized path (Run) report
 // byte-identical RunStats by construction — at any WithParallelism
 // setting, since a parallel chain's per-stage sums equal the serial ones.
+// RunFanIn (base data spread over many sensors) is the same drain with the
+// sensor count handed to the one placement walk.
 package network

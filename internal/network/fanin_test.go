@@ -2,15 +2,38 @@ package network
 
 import (
 	"context"
-	"math"
-	"strings"
+	"reflect"
 	"testing"
-
-	"paradise/internal/schema"
+	"time"
 )
 
-func TestFanInEquivalentToSingleSensor(t *testing.T) {
+// TestFanInOneSensorIsRun: one sensor is the single-sensor chain, so
+// RunFanIn must report exactly Run's stats.
+func TestFanInOneSensorIsRun(t *testing.T) {
 	st := testStore(t, 900)
+	plan := mustPlan(t, "SELECT x, y, AVG(z) AS zavg FROM d WHERE x > y AND z < 2 GROUP BY x, y")
+	topo := DefaultApartment()
+	single, err := Run(context.Background(), topo, plan, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan, err := RunFanIn(context.Background(), topo, plan, st, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fan, single) {
+		t.Fatalf("k=1 fan-in differs from Run:\n%s\nvs\n%s", fan.Summary(), single.Summary())
+	}
+}
+
+// TestFanInEquivalentToSingleSensor: spreading the base data over sensors
+// changes only simulated time. Rows (in order), per-link traffic, egress
+// and every stage's accounting are Run's; SimTime differs by exactly the
+// sensor compute saved (one shard instead of the whole relation) and the
+// extra link-0 shipment latencies (one per sensor on the shared radio).
+func TestFanInEquivalentToSingleSensor(t *testing.T) {
+	const n, k = 900, 16
+	st := testStore(t, n)
 	q := "SELECT x, y, AVG(z) AS zavg FROM d WHERE x > y AND z < 2 GROUP BY x, y"
 	plan := mustPlan(t, q)
 	topo := DefaultApartment()
@@ -19,42 +42,38 @@ func TestFanInEquivalentToSingleSensor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fan, err := RunFanIn(context.Background(), topo, plan, st, 16)
+	fan, err := RunFanIn(context.Background(), topo, plan, st, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fan.Result.Rows) != len(single.Result.Rows) {
-		t.Fatalf("fan-in result differs: %d vs %d rows",
-			len(fan.Result.Rows), len(single.Result.Rows))
+	if !reflect.DeepEqual(fan.Result, single.Result) {
+		t.Fatal("fan-in rows differ from Run's")
 	}
-	// Final answers agree as multisets. Aggregates are summed in shard
-	// order, so float results are compared after rounding.
-	count := map[string]int{}
-	keys := func(r schema.Row) string {
-		parts := make([]string, len(r))
-		for i, v := range r {
-			if v.Type() == schema.TypeFloat {
-				parts[i] = schema.Float(math.Round(v.AsFloat()*1e9) / 1e9).Format()
-			} else {
-				parts[i] = v.Format()
-			}
-		}
-		return strings.Join(parts, "|")
+	if !reflect.DeepEqual(fan.Traffic, single.Traffic) {
+		t.Fatalf("traffic differs:\n%s\nvs\n%s", fan.Summary(), single.Summary())
 	}
-	for _, r := range single.Result.Rows {
-		count[keys(r)]++
+	if fan.EgressBytes != single.EgressBytes || fan.RawBytes != single.RawBytes {
+		t.Fatalf("egress/raw differ: %d/%d vs %d/%d",
+			fan.EgressBytes, fan.RawBytes, single.EgressBytes, single.RawBytes)
 	}
-	for _, r := range fan.Result.Rows {
-		count[keys(r)]--
+	if !reflect.DeepEqual(fan.Assignments, single.Assignments) {
+		t.Fatalf("assignments differ:\n%s\nvs\n%s", fan.Summary(), single.Summary())
 	}
-	for k, v := range count {
-		if v != 0 {
-			t.Fatalf("multiset mismatch at %q", k)
+	if fan.Assignments[0].Node != topo.Nodes[0] {
+		t.Fatalf("stage 1 ran on %s, want the sensors", fan.Assignments[0].Node.Name)
+	}
+	for _, a := range fan.Assignments {
+		if a.Path() == "" {
+			t.Fatalf("Q%d reports no execution path", a.Fragment.Stage)
 		}
 	}
-	// Same egress.
-	if fan.EgressBytes != single.EgressBytes {
-		t.Fatalf("egress differs: %d vs %d", fan.EgressBytes, single.EgressBytes)
+
+	shard := (n + k - 1) / k
+	deltaMs := float64(shard-n)/topo.Nodes[0].Power/1000 + float64(k-1)*topo.Links[0].LatencyMs
+	want := single.SimTime + time.Duration(deltaMs*float64(time.Millisecond))
+	// Both durations are truncated from float milliseconds: allow 1ns.
+	if d := fan.SimTime - want; d < -1 || d > 1 {
+		t.Fatalf("SimTime %v, want Run's %v %+.3fms = %v", fan.SimTime, single.SimTime, deltaMs, want)
 	}
 }
 

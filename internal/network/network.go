@@ -140,7 +140,7 @@ type Assignment struct {
 	FellBack bool
 	// Columnar and Declined say in which representation the output left the
 	// stage (fragment.StageResult): column batches, or rows and why the
-	// engine declined. Both are zero for RunFanIn's materialized stages.
+	// engine declined.
 	Columnar bool
 	Declined string
 }
@@ -212,7 +212,30 @@ func (r *RunStats) Summary() string {
 // materialized path share one pipeline and one accounting routine, so a
 // cursor that drains a Stream observes byte-identical RunStats.
 func Run(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.Source, opts ...Option) (*RunStats, error) {
+	return drain(Open(ctx, topo, plan, src, opts...))
+}
+
+// RunFanIn is Run with the base data spread round-robin over sensorCount
+// sensor nodes — the paper's real node counts (Table 1: >= 100 sensors
+// feed 10-50 appliances feeding one PC). When stage 1 is seated on the
+// sensor rung, every sensor runs it over its own shard in parallel: its
+// compute and memory check use the largest shard, and the sensor->appliance
+// link pays one shipment latency per sensor (they share the radio medium).
+// Rows, per-link traffic and egress are Run's; only simulated time differs.
+func RunFanIn(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.Source, sensorCount int, opts ...Option) (*RunStats, error) {
+	if sensorCount < 1 {
+		return nil, fmt.Errorf("%w: sensor count must be >= 1", ErrNetwork)
+	}
 	st, err := Open(ctx, topo, plan, src, opts...)
+	if err == nil {
+		st.sensors = sensorCount
+	}
+	return drain(st, err)
+}
+
+// drain pulls an opened stream to the end and returns its stats with the
+// materialized result attached.
+func drain(st *Stream, err error) (*RunStats, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -239,14 +262,15 @@ func Run(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.So
 // remaining pipeline first, because every node is a store-and-forward hop
 // that ships its whole output regardless of how much the requester reads.
 type Stream struct {
-	topo   *Topology
-	plan   *fragment.Plan
-	chain  *fragment.Chain
-	baseIn int // input rows of the first fragment (base relations)
-	raw    int // wire size of the base relations the plan reads
-	stats  *RunStats
-	err    error
-	closed bool
+	topo    *Topology
+	plan    *fragment.Plan
+	chain   *fragment.Chain
+	baseIn  int // input rows of the first fragment (base relations)
+	raw     int // wire size of the base relations the plan reads
+	sensors int // sensor nodes holding a shard of the base data (RunFanIn)
+	stats   *RunStats
+	err     error
+	closed  bool
 }
 
 // Open validates the topology (including that every fragment's capability
@@ -275,13 +299,14 @@ func Open(ctx context.Context, topo *Topology, plan *fragment.Plan, src engine.S
 	if err != nil {
 		return nil, fmt.Errorf("network: open chain: %w", err)
 	}
-	baseIn, raw := baseStats(plan, src)
+	baseIn, _, raw := baseStats(plan.Fragments[0].Root, plan.Root, src)
 	return &Stream{
-		topo:   topo,
-		plan:   plan,
-		chain:  chain,
-		baseIn: baseIn,
-		raw:    raw,
+		topo:    topo,
+		plan:    plan,
+		chain:   chain,
+		baseIn:  baseIn,
+		raw:     raw,
+		sensors: 1,
 	}, nil
 }
 
@@ -332,7 +357,7 @@ func (s *Stream) Close() {
 	if s.err != nil {
 		return
 	}
-	s.stats, s.err = placeStats(s.topo, s.plan, s.chain.Stages(), s.baseIn, s.raw)
+	s.stats, s.err = placeStats(s.topo, s.plan, s.chain.Stages(), s.baseIn, s.raw, s.sensors)
 }
 
 // Stats returns the Figure 3 accounting of the fully drained chain,
@@ -351,8 +376,14 @@ func (s *Stream) Stats() (*RunStats, error) {
 // current data position that satisfies its capability level and memory cap
 // — each node runs at most one fragment except the cloud, which absorbs any
 // overflow — and the fragment's input ships hop by hop to that node, with
-// bytes and time accounted per link.
-func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResult, baseIn, raw int) (*RunStats, error) {
+// bytes and time accounted per link. It is the only code that seats a
+// fragment on a node.
+//
+// sensors is the number of sensor nodes the base data is spread over (1
+// for Run). Stage 1 seated on node 0 then runs on every sensor at once:
+// each holds and computes only the largest shard, and the shipment over
+// link 0 pays one latency per sensor.
+func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResult, baseIn, raw, sensors int) (*RunStats, error) {
 	stats := &RunStats{RawBytes: raw}
 	hop := make([]HopTraffic, len(topo.Links))
 	for i := range hop {
@@ -362,14 +393,32 @@ func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResu
 	pos := 0 // index of the node currently holding the data
 	used := make([]bool, len(topo.Nodes))
 	var simMs float64
-	prevRows, prevBytes := 0, 0
+	// The data at pos: first the raw base relations resident at the bottom
+	// node, then each stage's output.
+	prevRows, prevBytes := baseIn, raw
+	link0Ships := 1 // shipments sharing link 0
+
+	// ship moves the current data over links pos..to-1.
+	ship := func(to int) {
+		for h := pos; h < to; h++ {
+			hop[h].Bytes += prevBytes
+			hop[h].Rows += prevRows
+			lat := topo.Links[h].LatencyMs
+			if h == 0 {
+				lat *= float64(link0Ships)
+			}
+			simMs += lat + float64(prevBytes)/topo.Links[h].BytesPerMs
+		}
+	}
 
 	for i, f := range plan.Fragments {
-		// Input row count for memory checks: the first fragment reads base
-		// data directly, later fragments read the previous stage's output.
-		inRows := prevRows
-		if i == 0 {
-			inRows = baseIn
+		// need is the input node n must hold to run the fragment: stage 1
+		// on the sensors holds one sensor's shard of the base data.
+		need := func(n int) int {
+			if i == 0 && n == 0 {
+				return (prevRows + sensors - 1) / sensors
+			}
+			return prevRows
 		}
 
 		// The cost-based placement (when computed) raises the target rung
@@ -379,8 +428,8 @@ func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResu
 		exec := pos
 		fellBack := false
 		for exec < topo.CloudIndex() &&
-			(topo.Nodes[exec].Level < want || topo.Nodes[exec].MemRows < inRows || used[exec]) {
-			if topo.Nodes[exec].Level >= want && topo.Nodes[exec].MemRows < inRows {
+			(topo.Nodes[exec].Level < want || topo.Nodes[exec].MemRows < need(exec) || used[exec]) {
+			if topo.Nodes[exec].Level >= want && topo.Nodes[exec].MemRows < need(exec) {
 				fellBack = true // capable but too weak: §3.2 fallback
 			}
 			exec++
@@ -390,28 +439,23 @@ func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResu
 				ErrNetwork, f.Stage, f.MinLevel)
 		}
 
-		// Ship the current data up to the execution node. Stage 1's input
-		// is the raw base data resident at the bottom node — when the first
-		// fragment runs above it (a join needing an appliance, a placement
-		// decision), that shipment crosses links like any other.
-		shipRows, shipBytes := prevRows, prevBytes
-		if i == 0 {
-			shipRows, shipBytes = baseIn, raw
-		}
-		for h := pos; h < exec; h++ {
-			hop[h].Bytes += shipBytes
-			hop[h].Rows += shipRows
-			simMs += topo.Links[h].LatencyMs + float64(shipBytes)/topo.Links[h].BytesPerMs
+		// Ship the current data up to the execution node. When the first
+		// fragment runs above the bottom node (a join needing an appliance,
+		// a placement decision), the raw base data crosses links like any
+		// other stage input.
+		ship(exec)
+		if exec == 0 {
+			link0Ships = sensors
 		}
 		pos = exec
 		used[pos] = true
 		node := topo.Nodes[pos]
 		if node.Power > 0 {
-			simMs += float64(inRows) / node.Power / 1000
+			simMs += float64(need(pos)) / node.Power / 1000
 		}
 
 		stats.Assignments = append(stats.Assignments, Assignment{
-			Fragment: f, Node: node, InRows: inRows,
+			Fragment: f, Node: node, InRows: prevRows,
 			OutRows: stages[i].Rows, OutBytes: stages[i].Bytes,
 			FellBack: fellBack,
 			Columnar: stages[i].Columnar, Declined: stages[i].Declined,
@@ -420,11 +464,7 @@ func placeStats(topo *Topology, plan *fragment.Plan, stages []fragment.StageResu
 	}
 
 	// The final result always travels to the cloud (the requester).
-	for h := pos; h < topo.CloudIndex(); h++ {
-		hop[h].Bytes += prevBytes
-		hop[h].Rows += prevRows
-		simMs += topo.Links[h].LatencyMs + float64(prevBytes)/topo.Links[h].BytesPerMs
-	}
+	ship(topo.CloudIndex())
 
 	stats.Traffic = hop
 	stats.EgressBytes = hop[len(hop)-1].Bytes
@@ -444,20 +484,9 @@ func RunNaive(ctx context.Context, topo *Topology, root logical.Node, src engine
 	for _, o := range opts {
 		o(&cfg)
 	}
-	stats := &RunStats{}
-
-	// Total raw bytes of every base relation the query touches.
-	raw := 0
-	rawRows := 0
-	for _, tbl := range logical.BaseTables(root) {
-		_, rows, err := src.Relation(tbl)
-		if err != nil {
-			return nil, fmt.Errorf("network: naive run: %w", err)
-		}
-		raw += rows.WireSize()
-		rawRows += len(rows)
-	}
-	stats.RawBytes = raw
+	// Every base relation the query touches ships whole: |d|.
+	_, rawRows, raw := baseStats(root, root, src)
+	stats := &RunStats{RawBytes: raw}
 
 	hop := make([]HopTraffic, len(topo.Links))
 	var simMs float64
@@ -485,47 +514,6 @@ func RunNaive(ctx context.Context, topo *Topology, root logical.Node, src engine
 	return stats, nil
 }
 
-// overlaySource exposes an intermediate result under its stage name on top
-// of the base source. It implements engine.BatchSource so the next
-// fragment's scan streams the overlay rows (with any pushed-down filter and
-// projection) instead of re-materializing them.
-type overlaySource struct {
-	base engine.Source
-	name string
-	rel  *schema.Relation
-	rows schema.Rows
-}
-
-func (o *overlaySource) Relation(name string) (*schema.Relation, schema.Rows, error) {
-	if name == o.name {
-		return o.rel, o.rows, nil
-	}
-	return o.base.Relation(name)
-}
-
-func (o *overlaySource) RelationSchema(name string) (*schema.Relation, error) {
-	if name == o.name {
-		return o.rel, nil
-	}
-	return engine.RelationSchema(o.base, name)
-}
-
-func (o *overlaySource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	if name == o.name {
-		return schema.ScanRows(o.rows, sc), nil
-	}
-	return engine.OpenScan(ctx, o.base, name, sc)
-}
-
-// rawSize measures the wire size of every base relation the plan reads —
-// the |d| of Figure 3. One definition for every run flavour: it delegates
-// to baseStats so streaming, materialized and fan-in stats can never
-// disagree on what counts as raw data.
-func rawSize(plan *fragment.Plan, src engine.Source) int {
-	_, raw := baseStats(plan, src)
-	return raw
-}
-
 // relationStatser is the optional fast path for sizing base relations:
 // storage.Store implements it with O(1) cached counters, so opening a
 // streaming run does not materialize (or even walk) the base tables.
@@ -533,11 +521,12 @@ type relationStatser interface {
 	RelationStats(name string) (rows, wireBytes int, err error)
 }
 
-// baseStats measures, in one pass over the base relations, the input row
-// count of the first fragment and the wire size of every base relation the
-// plan reads — the |d| of Figure 3. Sources without the O(1) stats fast
-// path are materialized once per distinct table.
-func baseStats(plan *fragment.Plan, src engine.Source) (baseIn, raw int) {
+// baseStats sizes the base relations — the one definition of |d| shared by
+// every run flavour. in is the row count the stage-1 tree first reads (a
+// table it reads twice counts twice); rows and raw are the row count and
+// wire size of every distinct base relation root reads. Sources without
+// the O(1) stats fast path are materialized once per distinct table.
+func baseStats(first, root logical.Node, src engine.Source) (in, rows, raw int) {
 	type stat struct{ rows, bytes int }
 	cache := map[string]stat{}
 	load := func(t string) stat {
@@ -558,16 +547,17 @@ func baseStats(plan *fragment.Plan, src engine.Source) (baseIn, raw int) {
 		cache[t] = s
 		return s
 	}
-	for _, t := range logical.BaseTables(plan.Fragments[0].Root) {
-		baseIn += load(t).rows
+	for _, t := range logical.BaseTables(first) {
+		in += load(t).rows
 	}
 	seen := map[string]bool{}
-	for _, t := range logical.BaseTables(plan.Root) {
+	for _, t := range logical.BaseTables(root) {
 		if seen[t] {
 			continue
 		}
 		seen[t] = true
+		rows += load(t).rows
 		raw += load(t).bytes
 	}
-	return baseIn, raw
+	return in, rows, raw
 }

@@ -238,3 +238,48 @@ func TestRunNaiveShipsEverything(t *testing.T) {
 		t.Fatalf("naive egress %d != raw size %d", stats.EgressBytes, rows.WireSize())
 	}
 }
+
+// relationCounter is a store that counts Relation calls — each one copies
+// every row of a table.
+type relationCounter struct {
+	*storage.Store
+	calls int
+}
+
+func (r *relationCounter) Relation(name string) (*schema.Relation, schema.Rows, error) {
+	r.calls++
+	return r.Store.Relation(name)
+}
+
+// TestRunNaiveSizesWithBaseStats: RunNaive sizes |d| with the same O(1)
+// store statistics as Run — no base table is materialized to count it —
+// and reports the same raw bytes.
+func TestRunNaiveSizesWithBaseStats(t *testing.T) {
+	const q = "SELECT x, AVG(z) AS za FROM d WHERE z < 2 GROUP BY x"
+	src := &relationCounter{Store: testStore(t, 500)}
+	sel, err := sqlparser.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := logical.FromAST(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := RunNaive(context.Background(), DefaultApartment(), root, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.calls != 0 {
+		t.Fatalf("RunNaive called Relation %d times", src.calls)
+	}
+	frag, err := Run(context.Background(), DefaultApartment(), mustPlan(t, q), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.RawBytes != frag.RawBytes || naive.RawBytes == 0 {
+		t.Fatalf("naive raw %d bytes, Run raw %d", naive.RawBytes, frag.RawBytes)
+	}
+	if naive.Traffic[0].Rows != 500 {
+		t.Fatalf("naive ships %d rows over the first link, want 500", naive.Traffic[0].Rows)
+	}
+}

@@ -14,10 +14,9 @@ import (
 // rows and bytes for any plan node, using the textbook selectivity rules:
 // equality 1/NDV, ranges by min/max interpolation, equi-joins by the
 // larger NDV, everything capped by its input and clamped to a sane range.
-// The fragmenter's placement search and the optimizer's join reordering
-// both rank alternatives with it; network.Run's measured Figure 3
-// accounting is its ground truth (pinned by the modeled-vs-measured
-// harness in internal/fragment).
+// The fragmenter's placement search ranks alternatives with it;
+// network.Run's measured Figure 3 accounting is its ground truth (pinned by
+// the modeled-vs-measured harness in internal/fragment).
 
 // defaultSel is the selectivity assumed for predicates the model cannot
 // analyze (expressions over multiple columns, LIKE, CASE, ...).

@@ -21,13 +21,6 @@ type Options struct {
 	// The fragmenter keeps this off so block boundaries — the paper's query
 	// nesting — stay exactly where the rewriter placed them.
 	CrossBlock bool
-	// ReorderJoins enables greedy smallest-intermediate-first reordering of
-	// inner equi-join clusters (see reorder.go), ranked by Stats. Off by
-	// default: plan shape changes only when explicitly requested.
-	ReorderJoins bool
-	// Stats supplies base-relation statistics to the cardinality model; nil
-	// degrades estimation to neutral defaults.
-	Stats Stats
 }
 
 // Optimize rewrites the plan in place and returns its (possibly new) root.
@@ -40,11 +33,6 @@ type Options struct {
 func Optimize(root Node, opts Options) Node {
 	root = foldNodeExprs(root)
 	root = pushFilters(root, opts)
-	if opts.ReorderJoins {
-		// After pushdown (leaf predicates sharpen the estimates), before
-		// pruning (pruning reads the final tree shape).
-		root = ReorderJoins(root, opts.Stats)
-	}
 	pruneScans(root, opts.Catalog)
 	return root
 }

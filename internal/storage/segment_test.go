@@ -157,9 +157,9 @@ func fillTable(t *testing.T, cfg Config, rel *schema.Relation, rows schema.Rows)
 }
 
 // TestSegmentedEquivalence is the tentpole soundness suite: the same
-// corpus stored at segment sizes {1, 7, 256, one-segment}, with pruning on
-// and off, in memory and on disk, yields identical rows in identical order
-// on every scan surface — and identical table statistics.
+// corpus stored at segment sizes {1, 7, 256, one-segment}, in memory and on
+// disk, yields identical rows in identical order on every scan surface — and
+// identical table statistics.
 func TestSegmentedEquivalence(t *testing.T) {
 	const n = 600
 	rel := mixedRelation()
@@ -176,72 +176,66 @@ func TestSegmentedEquivalence(t *testing.T) {
 	}
 
 	for _, segRows := range []int{1, 7, 256, n + 1} {
-		for _, pruneOff := range []bool{false, true} {
-			for _, disk := range []bool{false, true} {
-				cfg := Config{SegmentRows: segRows, DisablePruning: pruneOff}
-				if disk {
-					b, err := NewDiskBackend(t.TempDir())
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Backend = b
+		for _, disk := range []bool{false, true} {
+			cfg := Config{SegmentRows: segRows}
+			if disk {
+				b, err := NewDiskBackend(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
 				}
-				label := func(what string) string {
-					pr := "prune"
-					if pruneOff {
-						pr = "noprune"
-					}
-					back := "mem"
-					if disk {
-						back = "disk"
-					}
-					return what + " seg=" + itoa(segRows) + " " + pr + " " + back
-				}
-				_, tab := fillTable(t, cfg, rel, rows)
-
-				rowsIdentical(t, label("Scan"), drainRows(t, tab.Scan(context.Background(), schema.Scan{})), wantAll)
-				rowsIdentical(t, label("Snapshot"), tab.Snapshot(), wantAll)
-
-				got := drainBatches(t, tab.ScanColumns(context.Background(), schema.ColScan{Columns: []int{2, 0}}))
-				want := make(schema.Rows, len(rows))
-				for i, r := range rows {
-					want[i] = schema.Row{r[2], r[0]}
-				}
-				rowsIdentical(t, label("ScanColumns"), got, want)
-
-				// A predicate scan admits a subset of segments; every row
-				// matching the predicate must still be present, in order.
-				admitted := drainBatches(t, tab.ScanColumns(context.Background(),
-					schema.ColScan{Predicate: preds}))
-				assertMatchesPresent(t, label("pruned scan"), rows, preds, admitted)
-
-				// Morsels claim segment-aligned chunks; the union of all
-				// claims re-assembled by sequence is the full relation.
-				ms := tab.ScanColMorsels(context.Background(), schema.ColScan{BatchSize: 32})
-				bySeq := map[int]schema.Rows{}
-				var seqs []int
-				for {
-					cm, err := ms.NextColMorsel()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if cm.Batch == nil {
-						break
-					}
-					bySeq[cm.Seq] = cm.Batch.Rows()
-					seqs = append(seqs, cm.Seq)
-				}
-				ms.Close()
-				var union schema.Rows
-				for i := 0; i < len(seqs); i++ {
-					union = append(union, bySeq[i]...)
-				}
-				rowsIdentical(t, label("morsels"), union, wantAll)
-
-				// Statistics are layout-independent: same row counts, null
-				// counts, min/max per column as the monolithic reference.
-				sameColumnStats(t, label("stats"), tab.Stats(), ref.Stats())
+				cfg.Backend = b
 			}
+			label := func(what string) string {
+				back := "mem"
+				if disk {
+					back = "disk"
+				}
+				return what + " seg=" + itoa(segRows) + " " + back
+			}
+			_, tab := fillTable(t, cfg, rel, rows)
+
+			rowsIdentical(t, label("Scan"), drainRows(t, tab.Scan(context.Background(), schema.Scan{})), wantAll)
+			rowsIdentical(t, label("Snapshot"), tab.Snapshot(), wantAll)
+
+			got := drainBatches(t, tab.ScanColumns(context.Background(), schema.ColScan{Columns: []int{2, 0}}))
+			want := make(schema.Rows, len(rows))
+			for i, r := range rows {
+				want[i] = schema.Row{r[2], r[0]}
+			}
+			rowsIdentical(t, label("ScanColumns"), got, want)
+
+			// A predicate scan admits a subset of segments; every row
+			// matching the predicate must still be present, in order.
+			admitted := drainBatches(t, tab.ScanColumns(context.Background(),
+				schema.ColScan{Predicate: preds}))
+			assertMatchesPresent(t, label("pruned scan"), rows, preds, admitted)
+
+			// Morsels claim segment-aligned chunks; the union of all
+			// claims re-assembled by sequence is the full relation.
+			ms := tab.ScanColMorsels(context.Background(), schema.ColScan{BatchSize: 32})
+			bySeq := map[int]schema.Rows{}
+			var seqs []int
+			for {
+				cm, err := ms.NextColMorsel()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cm.Batch == nil {
+					break
+				}
+				bySeq[cm.Seq] = cm.Batch.Rows()
+				seqs = append(seqs, cm.Seq)
+			}
+			ms.Close()
+			var union schema.Rows
+			for i := 0; i < len(seqs); i++ {
+				union = append(union, bySeq[i]...)
+			}
+			rowsIdentical(t, label("morsels"), union, wantAll)
+
+			// Statistics are layout-independent: same row counts, null
+			// counts, min/max per column as the monolithic reference.
+			sameColumnStats(t, label("stats"), tab.Stats(), ref.Stats())
 		}
 	}
 }

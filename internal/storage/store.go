@@ -29,10 +29,6 @@ type Config struct {
 	// Backend, when set, persists sealed segments (the tail stays in
 	// memory until sealed). nil keeps sealed segments in memory.
 	Backend Backend
-	// DisablePruning turns zone-map segment pruning off — every scan
-	// touches every segment. For A/B measurement only; results are
-	// identical either way (pinned by the equivalence suites).
-	DisablePruning bool
 }
 
 func (c Config) segRows() int {
@@ -293,11 +289,11 @@ type tableSnap struct {
 // snapshotScan builds a scan snapshot over the selected columns (nil cols
 // keeps every column), consulting zone maps with the structured predicate
 // to skip segments. Pruning follows the soundness rule in segment.go; with
-// no predicate (or pruning disabled) every part is admitted.
+// no predicate every part is admitted.
 func (t *Table) snapshotScan(cols []int, preds []schema.ColPred) *tableSnap {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	prune := len(preds) > 0 && !t.cfg.DisablePruning
+	prune := len(preds) > 0
 	snap := &tableSnap{rel: t.schema.Project(cols)}
 	var skipped, scanned int64
 	for _, seg := range t.sealed {

@@ -30,7 +30,7 @@ func TestModeledVsMeasured(t *testing.T) {
 		ratioHi = 5.0
 	)
 	store := placementStore(t)
-	sess := openPlacement(t, store, true, 1)
+	sess := openPlacement(t, store, 1)
 
 	var b strings.Builder
 	for _, sql := range placementCorpus {

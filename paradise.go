@@ -27,8 +27,6 @@ type sessionConfig struct {
 	parallel int // worker goroutines per pipeline; <= 0 means GOMAXPROCS
 	cache    *PlanCache
 	explicit bool // a policy was supplied explicitly
-	fixed    bool // disable cost-based fragment placement
-	reorder  bool // enable cost-based join reordering
 }
 
 // WithPolicy sets the user's privacy policy. Without it the session runs
@@ -114,35 +112,6 @@ func WithPlanCache(c *PlanCache) Option {
 	return func(cfg *sessionConfig) { cfg.cache = c }
 }
 
-// WithCostBasedPlacement toggles the cost-based fragment placement
-// search (on by default). When on, each fragment of the vertical
-// decomposition runs at the capability rung minimizing the modeled bytes
-// crossing level boundaries — a stage that expands its input (a fan-out
-// join, a widening window) is hoisted so its smaller input travels
-// instead of its larger output. The fragment's MinLevel stays a hard
-// floor: privacy and capability are never traded for traffic, and the
-// search only ever moves a stage up the ladder. Ties resolve to the
-// lowest rung, so whenever the model shows no strict gain the run is
-// byte-identical to the fixed MinLevel policy (which false restores).
-//
-// Placement changes which node executes a stage and hence per-link byte
-// attribution and simulated time; rows, row order, raw and egress bytes
-// are identical either way.
-func WithCostBasedPlacement(on bool) Option {
-	return func(c *sessionConfig) { c.fixed = !on }
-}
-
-// WithJoinReordering toggles greedy cost-based join reordering (off by
-// default). When on, inner equi-join clusters of three or more base
-// relations are rebuilt smallest-modeled-intermediate-first before
-// fragmentation. The transformation is conservative: LEFT and cross
-// joins, non-equi conjuncts, derived-table leaves and clusters under a
-// SELECT * are never reordered, and within an admissible cluster the
-// result is row-identical to the written order.
-func WithJoinReordering(on bool) Option {
-	return func(c *sessionConfig) { c.reorder = on }
-}
-
 // QueryOption configures one Query/Process call.
 type QueryOption func(*queryConfig)
 
@@ -172,7 +141,11 @@ type Session struct {
 
 // Open assembles a Session over the store. Without options the session
 // uses the Figure 3 apartment topology and an allow-all policy (see
-// WithPolicy).
+// WithPolicy). Joins run in the order the query writes them, and each
+// fragment of the vertical decomposition runs at the capability rung that
+// minimizes the modeled bytes crossing level boundaries, never below its
+// MinLevel floor — placement moves which node runs a stage, never its rows
+// or the egress bytes.
 func Open(store *Store, opts ...Option) (*Session, error) {
 	if store == nil {
 		return nil, fmt.Errorf("%w: nil store", ErrUsage)
@@ -188,17 +161,15 @@ func Open(store *Store, opts ...Option) (*Session, error) {
 		cfg.topo = network.DefaultApartment()
 	}
 	proc, err := core.New(core.Config{
-		Store:          store,
-		Policy:         cfg.policy,
-		Topology:       cfg.topo,
-		Rewrite:        cfg.rewrite,
-		Anon:           cfg.anon,
-		MaxInfoLoss:    cfg.maxLoss,
-		Journal:        cfg.journal,
-		Parallelism:    cfg.parallel,
-		Cache:          cfg.cache,
-		FixedPlacement: cfg.fixed,
-		ReorderJoins:   cfg.reorder,
+		Store:       store,
+		Policy:      cfg.policy,
+		Topology:    cfg.topo,
+		Rewrite:     cfg.rewrite,
+		Anon:        cfg.anon,
+		MaxInfoLoss: cfg.maxLoss,
+		Journal:     cfg.journal,
+		Parallelism: cfg.parallel,
+		Cache:       cfg.cache,
 	})
 	if err != nil {
 		return nil, wrapErr(err)

@@ -5,12 +5,16 @@ import (
 	"testing"
 
 	paradise "paradise"
+	"paradise/internal/core"
+	"paradise/internal/fragment"
+	"paradise/internal/network"
+	"paradise/internal/sqlparser"
 )
 
 // placementStore is testStore plus a small rooms relation whose join key
 // fans out: every d row matches several rooms rows, so the join's output
 // is larger than its input — the shape where cost-based placement departs
-// from the fixed MinLevel policy.
+// from the MinLevel floor.
 func placementStore(t testing.TB) *paradise.Store {
 	t.Helper()
 	store := testStore(t, 400)
@@ -53,18 +57,39 @@ var placementCorpus = []string{
 	"SELECT d.x, rooms.label FROM d JOIN rooms ON d.x = rooms.x ORDER BY rooms.label, d.t LIMIT 7",
 }
 
-// openPlacement opens a session over the store with the given placement
-// mode and parallelism.
-func openPlacement(t *testing.T, store *paradise.Store, costBased bool, par int) *paradise.Session {
+// openPlacement opens a session over the store with the given parallelism.
+func openPlacement(t *testing.T, store *paradise.Store, par int) *paradise.Session {
 	t.Helper()
-	sess, err := paradise.Open(store,
-		paradise.WithCostBasedPlacement(costBased),
-		paradise.WithParallelism(par),
-	)
+	sess, err := paradise.Open(store, paradise.WithParallelism(par))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sess
+}
+
+// runPlaced runs sql through network.Run twice on one fragment plan: first
+// unplaced, every fragment at its MinLevel floor (the reference policy),
+// then after PlaceCostBased over the store's statistics.
+func runPlaced(t *testing.T, store *paradise.Store, sql string) (floor, cost *paradise.RunStats) {
+	t.Helper()
+	sel, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fragment.New().Fragment(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(what string) *paradise.RunStats {
+		st, err := network.Run(context.Background(), network.DefaultApartment(), plan, store)
+		if err != nil {
+			t.Fatalf("%s (%s): %v", sql, what, err)
+		}
+		return st
+	}
+	floor = run("floor")
+	plan.PlaceCostBased(core.StoreStats(store))
+	return floor, run("cost")
 }
 
 // samePlacementInvariantStats compares the Figure 3 quantities that
@@ -91,29 +116,19 @@ func samePlacementInvariantStats(t *testing.T, sql string, got, want *paradise.R
 
 // TestPlacementEquivalence is the placement soundness suite: for every
 // corpus shape, cost-based placement returns exactly the rows (values and
-// order) and the same raw/egress/per-stage byte accounting as the fixed
-// MinLevel baseline — only which node runs a stage (and hence per-link
-// attribution) may move. The placed level never sinks below the
-// privacy/capability floor, and the chain stays monotone.
+// order) and the same raw/egress/per-stage byte accounting as the same
+// plan left at its MinLevel floor — only which node runs a stage (and
+// hence per-link attribution) may move. The placed level never sinks below
+// the privacy/capability floor, and the chain stays monotone.
 func TestPlacementEquivalence(t *testing.T) {
 	store := placementStore(t)
-	fixed := openPlacement(t, store, false, 1)
-	cost := openPlacement(t, store, true, 1)
-
 	for _, sql := range placementCorpus {
-		want, err := fixed.Process(context.Background(), sql)
-		if err != nil {
-			t.Fatalf("%s (fixed): %v", sql, err)
-		}
-		got, err := cost.Process(context.Background(), sql)
-		if err != nil {
-			t.Fatalf("%s (cost): %v", sql, err)
-		}
+		want, got := runPlaced(t, store, sql)
 		sameRows(t, got.Result.Rows, want.Result.Rows)
-		samePlacementInvariantStats(t, sql, got.Net, want.Net)
+		samePlacementInvariantStats(t, sql, got, want)
 
 		prev := 0
-		for _, a := range got.Net.Assignments {
+		for _, a := range got.Assignments {
 			f := a.Fragment
 			if f.Level != 0 && f.Level < f.MinLevel {
 				t.Fatalf("%s: Q%d placed at %s below floor %s", sql, f.Stage, f.Level, f.MinLevel)
@@ -135,8 +150,8 @@ func TestPlacementEquivalence(t *testing.T) {
 // (node assignments included) to the serial cost-based session.
 func TestPlacementEquivalenceParallel(t *testing.T) {
 	store := placementStore(t)
-	serial := openPlacement(t, store, true, 1)
-	parallel := openPlacement(t, store, true, 4)
+	serial := openPlacement(t, store, 1)
+	parallel := openPlacement(t, store, 4)
 
 	for _, sql := range placementCorpus {
 		want, err := serial.Process(context.Background(), sql)
@@ -154,13 +169,10 @@ func TestPlacementEquivalenceParallel(t *testing.T) {
 
 // TestCostPlacementReducesLinkBytes pins the point of the search: on
 // expanding shapes (fan-out joins) the cost-based placement ships fewer
-// total bytes over the chain's links than the fixed MinLevel policy, with
-// rows and egress identical (checked by TestPlacementEquivalence above).
+// total bytes over the chain's links than the MinLevel floor, with rows and
+// egress identical (checked by TestPlacementEquivalence above).
 func TestCostPlacementReducesLinkBytes(t *testing.T) {
 	store := placementStore(t)
-	fixed := openPlacement(t, store, false, 1)
-	cost := openPlacement(t, store, true, 1)
-
 	linkBytes := func(st *paradise.RunStats) int {
 		total := 0
 		for _, h := range st.Traffic {
@@ -175,16 +187,9 @@ func TestCostPlacementReducesLinkBytes(t *testing.T) {
 	}
 	reduced := 0
 	for _, sql := range expanding {
-		f, err := fixed.Process(context.Background(), sql)
-		if err != nil {
-			t.Fatalf("%s (fixed): %v", sql, err)
-		}
-		c, err := cost.Process(context.Background(), sql)
-		if err != nil {
-			t.Fatalf("%s (cost): %v", sql, err)
-		}
-		fb, cb := linkBytes(f.Net), linkBytes(c.Net)
-		t.Logf("%s: fixed %d bytes on the wire, cost-based %d", sql, fb, cb)
+		f, c := runPlaced(t, store, sql)
+		fb, cb := linkBytes(f), linkBytes(c)
+		t.Logf("%s: floor %d bytes on the wire, cost-based %d", sql, fb, cb)
 		if cb < fb {
 			reduced++
 		} else if cb > fb {
@@ -197,18 +202,10 @@ func TestCostPlacementReducesLinkBytes(t *testing.T) {
 
 	// A shrinking join (the filter cuts the fan-out below its input) must
 	// NOT be hoisted: the model keeps it at the floor and the run is
-	// byte-identical to the fixed policy.
+	// byte-identical to the unplaced plan.
 	shrinking := "SELECT d.x, rooms.label FROM d JOIN rooms ON d.x = rooms.x WHERE d.z < 1"
-	f, err := fixed.Process(context.Background(), shrinking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cost.Process(context.Background(), shrinking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if linkBytes(f.Net) != linkBytes(c.Net) {
-		t.Fatalf("shrinking join moved: fixed %d bytes, cost-based %d",
-			linkBytes(f.Net), linkBytes(c.Net))
+	f, c := runPlaced(t, store, shrinking)
+	if linkBytes(f) != linkBytes(c) {
+		t.Fatalf("shrinking join moved: floor %d bytes, cost-based %d", linkBytes(f), linkBytes(c))
 	}
 }

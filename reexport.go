@@ -133,9 +133,6 @@ type StoreConfig struct {
 	Dir string
 	// SegmentRows is the seal threshold; <= 0 selects the default (4096).
 	SegmentRows int
-	// DisablePruning turns zone-map segment pruning off, for A/B
-	// measurement. Results are identical either way.
-	DisablePruning bool
 }
 
 // StorageStats aggregates a store's physical-layout and pruning counters.
@@ -146,7 +143,7 @@ type StorageStats = storage.StorageStats
 // schemas and statistics come from the segment footers, rows are served
 // lazily from disk.
 func NewStoreWith(cfg StoreConfig) (*Store, error) {
-	c := storage.Config{SegmentRows: cfg.SegmentRows, DisablePruning: cfg.DisablePruning}
+	c := storage.Config{SegmentRows: cfg.SegmentRows}
 	if cfg.Dir != "" {
 		b, err := storage.NewDiskBackend(cfg.Dir)
 		if err != nil {

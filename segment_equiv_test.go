@@ -62,8 +62,8 @@ func fillConfiguredStore(t *testing.T, n int, cfg paradise.StoreConfig) *paradis
 // soundness suite: the same queries over the same corpus return identical
 // rows AND byte-identical Figure-3 accounting (raw, egress, per-link
 // traffic, per-stage rows/bytes, simulated time) regardless of segment
-// size, pruning, or the on-disk backend. Physical layout must be invisible
-// to everything above storage.
+// size (and so of which segments pruning skips) or the on-disk backend.
+// Physical layout must be invisible to everything above storage.
 func TestSegmentedStoreEquivalence(t *testing.T) {
 	const n = 400
 	ref := testStore(t, n) // monolithic in-memory baseline
@@ -79,7 +79,6 @@ func TestSegmentedStoreEquivalence(t *testing.T) {
 		{"seg=1", paradise.StoreConfig{SegmentRows: 1}},
 		{"seg=7", paradise.StoreConfig{SegmentRows: 7}},
 		{"seg=64", paradise.StoreConfig{SegmentRows: 64}},
-		{"seg=64 noprune", paradise.StoreConfig{SegmentRows: 64, DisablePruning: true}},
 		{"seg=1000 (monolithic)", paradise.StoreConfig{SegmentRows: n + 1}},
 	}
 	for _, v := range variants {
