@@ -233,8 +233,7 @@ type vecPassIter struct {
 	src schema.ColIterator
 	ex  *vecExec
 	// srcIdx is the load-layout position of each output column; nil when
-	// the output is the load layout itself, whose View (if any) then still
-	// aligns.
+	// the output is the load layout itself.
 	srcIdx []int
 	orel   *schema.Relation
 }
@@ -273,7 +272,7 @@ func (v *vecPassIter) pull(own bool) (*schema.ColBatch, error) {
 			out.Sel = append(make([]int, 0, live), sel...)
 		}
 		if v.srcIdx == nil {
-			out.Vecs, out.View = cb.Vecs, cb.View
+			out.Vecs = cb.Vecs
 		} else {
 			out.Vecs = make([]schema.ColVec, len(v.srcIdx))
 			for k, c := range v.srcIdx {

@@ -549,7 +549,7 @@ func (v *vecProjIter) Next() (schema.Rows, error) {
 }
 
 func (v *vecProjIter) rowFallback(cb *schema.ColBatch, sel []int) (schema.Rows, error) {
-	tmp := schema.ColBatch{Rel: v.ex.p.lrel, Vecs: cb.Vecs, N: cb.N, Sel: sel, View: cb.View}
+	tmp := schema.ColBatch{Rel: v.ex.p.lrel, Vecs: cb.Vecs, N: cb.N, Sel: sel}
 	in := tmp.Rows()
 	w := len(v.proj.cols)
 	vals := make([]schema.Value, len(in)*w)

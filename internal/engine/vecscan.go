@@ -120,8 +120,8 @@ func compileVecScan(rel *schema.Relation, full *binding, conds []sqlparser.Expr,
 func (p *vecScanPlan) outBinding() *binding { return &binding{cols: p.lb.cols[:p.m]} }
 
 // loadCols is the column set to request from the source: nil when the load
-// layout is the full identity, which lets the store serve full-width
-// windows with their row view attached.
+// layout is the full identity, which lets the store serve its vectors
+// without a projection.
 func (p *vecScanPlan) loadCols(arity int) []int {
 	if len(p.load) != arity {
 		return p.load
@@ -262,11 +262,6 @@ func (x *vecExec) run(cb *schema.ColBatch) (*schema.ColBatch, error) {
 		return nil, err
 	}
 	x.out = schema.ColBatch{Rel: x.p.orel, Vecs: cb.Vecs[:x.p.m], N: cb.N, Sel: sel}
-	if x.p.m == len(cb.Vecs) {
-		// Full-width output: forward the store's row view (when present) so
-		// survivors are gathered as references, not re-materialized.
-		x.out.View = cb.View
-	}
 	return &x.out, nil
 }
 

@@ -105,7 +105,7 @@ func (s *colStageSource) OpenColMorsels(ctx context.Context, name string, sc sch
 // narrowed to the requested columns.
 type colStageScan struct {
 	it   *stageIter
-	cols []int // nil keeps the stage's full width (and its View)
+	cols []int // nil keeps the stage's full width
 	rel  *schema.Relation
 }
 

@@ -418,16 +418,6 @@ type ColBatch struct {
 	// Sel is the selection vector: live physical row indices, ascending.
 	// nil selects all N rows.
 	Sel []int
-	// View, when non-nil, is a row-major view of the same physical rows:
-	// View[i] equals the pivot of physical row i, for all N rows. Producers
-	// that already hold row-major data (the store mirrors full-width rows)
-	// attach it so Rows() gathers row references instead of pivoting —
-	// Value is a wide struct, and re-materializing it per element is the
-	// dominant cost of a wide scan. View rows follow the row-iterator
-	// retention contract (immutable, retainable), and a producer must only
-	// set View when it aligns with Vecs exactly: same width, same order,
-	// View[i][c] == Vecs[c].Value(i).
-	View Rows
 }
 
 // Len returns the live (selected) row count.
@@ -445,17 +435,6 @@ func (b *ColBatch) Rows() Rows {
 	n := b.Len()
 	out := make(Rows, n)
 	if n == 0 {
-		return out
-	}
-	if b.View != nil {
-		// Gather references to the row-major view: no values move.
-		if b.Sel == nil {
-			copy(out, b.View[:n])
-		} else {
-			for k, i := range b.Sel {
-				out[k] = b.View[i]
-			}
-		}
 		return out
 	}
 	w := len(b.Vecs)
@@ -545,12 +524,8 @@ func (v *ColVec) wireSize(n int, sel []int) int {
 	}
 }
 
-// RowAt pivots the single physical row i (ignoring Sel) into a fresh Row,
-// or returns the view row when one is attached.
+// RowAt pivots the single physical row i (ignoring Sel) into a fresh Row.
 func (b *ColBatch) RowAt(i int) Row {
-	if b.View != nil {
-		return b.View[i]
-	}
 	out := make(Row, len(b.Vecs))
 	for c := range b.Vecs {
 		out[c] = b.Vecs[c].Value(i)

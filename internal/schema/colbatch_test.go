@@ -133,25 +133,6 @@ func TestBatchSelectionEdges(t *testing.T) {
 	}
 }
 
-// TestBatchViewGatherMatchesPivot pins the View contract: when a row-major
-// mirror is attached, Rows() must produce exactly what the pivot would.
-func TestBatchViewGatherMatchesPivot(t *testing.T) {
-	rel, rows := pivotRel(), pivotRows()
-	base := BatchFromRows(rel, rows)
-	for _, sel := range [][]int{nil, {}, {1}, {0, 2, 3}} {
-		plain := ColBatch{Rel: rel, Vecs: base.Vecs, N: base.N, Sel: sel}
-		viewed := ColBatch{Rel: rel, Vecs: base.Vecs, N: base.N, Sel: sel, View: rows}
-		if !rowsEqual(viewed.Rows(), plain.Rows()) {
-			t.Errorf("sel %v: view gather differs from pivot", sel)
-		}
-		for i := range rows {
-			if !rowsEqual(Rows{viewed.RowAt(i)}, Rows{plain.RowAt(i)}) {
-				t.Errorf("sel %v: RowAt(%d) differs between view and pivot", sel, i)
-			}
-		}
-	}
-}
-
 // TestColVecAppendGroupKeyMatchesValue pins the columnar key fast path to the
 // boxed definition: ColVec.AppendGroupKey(dst, i) must produce the same bytes
 // as boxing the element and calling Value.AppendGroupKey.
@@ -203,7 +184,7 @@ func TestColVecWindow(t *testing.T) {
 // TestBatchWireSizeMatchesRows is the accounting property the columnar stage
 // boundary rests on: a batch weighs exactly what its pivoted rows weigh —
 // over typed vectors, NULL masks, vectors degraded to boxed storage, refined
-// and empty selections, windows, and batches carrying a row view.
+// and empty selections, and windows.
 func TestBatchWireSizeMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(20160315))
 	rel := pivotRel()
@@ -252,7 +233,6 @@ func TestBatchWireSizeMatchesRows(t *testing.T) {
 		}
 		check("sel", &ColBatch{Rel: rel, Vecs: base.Vecs, N: n, Sel: sel})
 		check("empty sel", &ColBatch{Rel: rel, Vecs: base.Vecs, N: n, Sel: []int{}})
-		check("view", &ColBatch{Rel: rel, Vecs: base.Vecs, N: n, Sel: sel, View: rows})
 
 		// A window of the vectors whose N is shorter than their backing.
 		if n > 2 {

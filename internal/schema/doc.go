@@ -20,8 +20,8 @@
 // on N workers while remaining row-identical to serial execution.
 //
 // The columnar contract (colbatch.go): relations can also flow as
-// ColBatches — typed column vectors (ColVec) plus a selection vector and
-// an optional row-major View mirror — pulled through ColIterator or
+// ColBatches — typed column vectors (ColVec) plus a selection vector —
+// pulled through ColIterator or
 // claimed concurrently through ColMorselSource. Batches are read-only
 // windows over append-only storage; refining a selection allocates a new
 // Sel (nil Sel means all rows live); pivoting back to rows happens at

@@ -120,8 +120,7 @@ func (z ZoneEntry) allNumeric() bool { return z.Ints+z.Floats == z.nonNull() }
 func (z ZoneEntry) allString() bool { return z.Strs == z.nonNull() }
 
 // segment is one sealed, immutable run of rows. Exactly one of mem / data
-// is set: mem holds the vectors (and the row-mirror pivot-elision cache)
-// for in-memory segments; data is the backend handle for on-disk segments,
+// is set: mem holds the vectors for in-memory segments; data is the backend handle for on-disk segments,
 // decoded lazily per scan.
 type segment struct {
 	rows int
@@ -136,9 +135,6 @@ type segment struct {
 // segMem is the in-memory representation of a sealed segment.
 type segMem struct {
 	cols []schema.ColVec
-	// view is the row-major mirror (see Table's doc): full-width windows
-	// attach it so pivots gather references instead of re-boxing values.
-	view schema.Rows
 }
 
 // zonePrune decides whether a segment can be skipped for the given

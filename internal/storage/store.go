@@ -52,13 +52,6 @@ func (c Config) segRows() int {
 // batch. With a persistent Backend, sealed segments live on disk and are
 // decoded lazily per scan, so tables larger than RAM scan fine and a
 // restart recovers the sealed prefix without re-ingest.
-//
-// Alongside the tail vectors the table mirrors tail rows in row-major
-// form, as do in-memory sealed segments. The mirror is the pivot-elision
-// cache: full-width windows attach it as the batch View (see
-// schema.ColBatch), so serving rows costs one reference per row instead of
-// re-materializing wide Value structs. Both layouts share nothing mutable,
-// since rows and vector elements are immutable once appended.
 type Table struct {
 	mu     sync.RWMutex
 	schema *schema.Relation
@@ -72,7 +65,6 @@ type Table struct {
 	// The active tail: mutable under mu, vectors append-only so windows
 	// handed to scans stay valid after unlock.
 	cols     []schema.ColVec
-	rows     schema.Rows
 	tailRows int
 	tailWire int
 
@@ -139,7 +131,6 @@ func (t *Table) Append(rows ...schema.Row) error {
 			t.cols[i].Append(r[i])
 			keyBuf = t.foldValue(i, r[i], keyBuf)
 		}
-		t.rows = append(t.rows, r.Clone())
 		t.tailRows++
 		t.nrows++
 		w := r.WireSize()
@@ -171,8 +162,8 @@ func (t *Table) foldValue(i int, v schema.Value, keyBuf []byte) []byte {
 
 // sealLocked turns the current tail into an immutable sealed segment:
 // zone map and histogram from the segment-local accumulators, then either
-// an in-memory segment (keeping vectors and row mirror) or a durable
-// backend write (dropping both). Caller holds the write lock.
+// an in-memory segment (keeping the vectors) or a durable backend write
+// (dropping them). Caller holds the write lock.
 func (t *Table) sealLocked() error {
 	n := t.tailRows
 	if n == 0 {
@@ -208,7 +199,7 @@ func (t *Table) sealLocked() error {
 		}
 		seg.data = data
 	} else {
-		seg.mem = &segMem{cols: t.cols, view: t.rows}
+		seg.mem = &segMem{cols: t.cols}
 	}
 	t.sealed = append(t.sealed, seg)
 	t.sealedRows += n
@@ -220,7 +211,6 @@ func (t *Table) sealLocked() error {
 	for i := range t.cols {
 		t.cols[i] = schema.NewColVec(t.schema.Columns[i].Type)
 	}
-	t.rows = nil
 	t.tailRows = 0
 	t.tailWire = 0
 	for i := range t.segStats {
@@ -336,7 +326,7 @@ func (t *Table) segPart(seg *segment, cols []int) *scanPart {
 		mem := seg.mem
 		p.get = func() (*schema.ColBatch, error) {
 			t.segsOpened.Add(1)
-			return projectBatch(rel, mem.cols, mem.view, n, cols), nil
+			return projectBatch(rel, mem.cols, n, cols), nil
 		}
 		return p
 	}
@@ -359,14 +349,10 @@ func (t *Table) tailPartLocked(cols []int) *scanPart {
 	rel := t.schema.Project(cols)
 	n := t.tailRows
 	vecs := make([]schema.ColVec, rel.Arity())
-	var view schema.Rows
 	if cols == nil {
 		for i := range t.cols {
 			vecs[i] = t.cols[i].Window(0, n)
 		}
-		// Full width in storage order: the row mirror aligns with the
-		// vectors, so consumers can gather references instead of pivoting.
-		view = t.rows[:n]
 	} else {
 		for k, c := range cols {
 			vecs[k] = t.cols[c].Window(0, n)
@@ -375,16 +361,16 @@ func (t *Table) tailPartLocked(cols []int) *scanPart {
 	p := &scanPart{nrows: n}
 	p.get = func() (*schema.ColBatch, error) {
 		t.segsOpened.Add(1)
-		return &schema.ColBatch{Rel: rel, Vecs: vecs, N: n, View: view}, nil
+		return &schema.ColBatch{Rel: rel, Vecs: vecs, N: n}, nil
 	}
 	return p
 }
 
 // projectBatch builds a batch over fully materialized segment columns,
-// applying the projection (nil cols = full width, row view attached).
-func projectBatch(rel *schema.Relation, src []schema.ColVec, view schema.Rows, n int, cols []int) *schema.ColBatch {
+// applying the projection (nil cols = full width).
+func projectBatch(rel *schema.Relation, src []schema.ColVec, n int, cols []int) *schema.ColBatch {
 	if cols == nil {
-		return &schema.ColBatch{Rel: rel, Vecs: src, N: n, View: view}
+		return &schema.ColBatch{Rel: rel, Vecs: src, N: n}
 	}
 	vecs := make([]schema.ColVec, len(cols))
 	for k, c := range cols {
@@ -400,11 +386,7 @@ func windowBatch(b *schema.ColBatch, lo, hi int) *schema.ColBatch {
 	for i := range vecs {
 		vecs[i] = b.Vecs[i].Window(lo, hi)
 	}
-	var view schema.Rows
-	if b.View != nil {
-		view = b.View[lo:hi]
-	}
-	return &schema.ColBatch{Rel: b.Rel, Vecs: vecs, N: hi - lo, View: view}
+	return &schema.ColBatch{Rel: b.Rel, Vecs: vecs, N: hi - lo}
 }
 
 // Snapshot returns a stable row-major copy of the table (a full pivot).
@@ -757,7 +739,6 @@ func (t *Table) Truncate() {
 	for i := range t.cols {
 		t.cols[i] = schema.NewColVec(t.schema.Columns[i].Type)
 	}
-	t.rows = nil
 	t.tailRows = 0
 	t.tailWire = 0
 	t.nrows = 0

@@ -165,16 +165,6 @@ func TestRowLineMatchesEncodingJSON(t *testing.T) {
 		}
 	})
 
-	t.Run("view", func(t *testing.T) {
-		// An in-memory scan attaches the row-major mirror; the encoder
-		// reads the vectors all the same.
-		viewed := *batch
-		viewed.View = rows
-		if got := batchLines(&viewed); !bytes.Equal(got, want) {
-			t.Errorf("View-carrying batch differs from the oracle")
-		}
-	})
-
 	t.Run("zero width", func(t *testing.T) {
 		const line = "{\"type\":\"row\"}\n"
 		if got := oracleLine(t, paradise.Row{}); string(got) != line {
