@@ -20,10 +20,12 @@ var ErrQuery = errors.New("engine: query error")
 // every other query are not.
 var ErrInternal = errors.New("engine: internal error")
 
-// Source supplies base relations by name. storage.Store implements it;
-// the network simulator implements it per node. Sources that additionally
-// implement BatchSource are scanned batch-at-a-time instead of being
-// materialized.
+// Source supplies base relations by name: Relation is the materialized
+// reference every source has. storage.Store implements it and the fragment
+// chain's stage sources do. Queries read a source through its optional
+// capabilities when it has them: a ColScanner (the store) is scanned as
+// column batches, a BatchSource as row batches, and only a source with
+// neither is materialized.
 type Source interface {
 	Relation(name string) (*schema.Relation, schema.Rows, error)
 }
@@ -353,53 +355,29 @@ func (e *Engine) openScanSeg(ctx context.Context, s *plan.Scan, blk *plan.Block,
 		}
 	}
 
-	// Vectorized path: a columnar morsel source runs the filter kernels and
-	// the survivor pivot on the claiming worker, so rejected rows and pruned
-	// columns are never pivoted to row form and no scan stage is needed.
+	// A columnar source runs the filter kernels and the survivor pivot on
+	// the claiming worker, so rejected rows and pruned columns are never
+	// pivoted to row form and no scan stage is needed. A filter that does
+	// not compile names a column the table lacks: that fails the query
+	// whatever the table holds.
 	if cs, ok := e.src.(ColScanner); ok {
-		if p, pok := compileVecScan(rel, full, conds, cols); pok {
-			sc := p.colScan(rel.Arity())
-			sc.BatchSize = batch
-			ms, err := cs.OpenColMorsels(ctx, s.Table, sc)
-			if err != nil {
-				return nil, err
-			}
-			seg.ms = newVecScanMorsels(ms, p, workers)
-			return seg, nil
-		}
-	}
-
-	// One worker over a plain batch source: the filter and projection are
-	// pushed into the source's own scan, so rows failing the predicate and
-	// pruned columns never leave it (for a fragment chain: never leave the
-	// previous stage's iterator).
-	if workers == 1 {
-		sc := schema.Scan{Columns: cols, BatchSize: batch}
-		if len(conds) > 0 {
-			env := (&rowEnv{b: full}).reuse()
-			cond := sqlparser.AndAll(conds)
-			sc.Filter = func(r schema.Row) (bool, error) {
-				env.row = r
-				return truthy(env, cond)
-			}
-			// The structured restatement of the filter's kernelizable prefix
-			// lets storage skip segments even on the row path.
-			sc.Predicate = prunePreds(full, sqlparser.Conjuncts(cond))
-		}
-		seg.it, err = OpenScan(ctx, e.src, s.Table, sc)
+		p, err := compileVecScan(rel, full, conds, cols)
 		if err != nil {
 			return nil, err
 		}
+		sc := p.colScan(rel.Arity())
+		sc.BatchSize = batch
+		ms, err := cs.OpenColMorsels(ctx, s.Table, sc)
+		if err != nil {
+			return nil, err
+		}
+		seg.ms = scanVecMorsels(ms, p, workers)
 		return seg, nil
 	}
 
-	// Several workers: the source is opened raw as a morsel source and the
-	// predicate and projection run per worker in a scan stage.
-	if msrc, ok := e.src.(MorselScanner); ok {
-		seg.ms, err = msrc.OpenMorsels(ctx, s.Table, batch)
-	} else {
-		seg.it, err = OpenScan(ctx, e.src, s.Table, schema.Scan{})
-	}
+	// A source serving rows only is opened raw, and the predicate and
+	// projection run per worker in a scan stage.
+	seg.it, err = OpenScan(ctx, e.src, s.Table, batch)
 	if err != nil {
 		return nil, err
 	}

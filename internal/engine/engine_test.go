@@ -645,3 +645,44 @@ func TestSensitivePropagation(t *testing.T) {
 		t.Fatal("age is not sensitive")
 	}
 }
+
+// TestUnknownFilterColumnFailsWhateverTheData: a filter naming a column the
+// table lacks fails at compile with the resolution error, whether the table
+// is empty, a kernel prefix rejects every row before the unknown column
+// would be read, or rows reach it — at every worker count, grouped or not.
+func TestUnknownFilterColumnFailsWhateverTheData(t *testing.T) {
+	const want = `schema: unknown column: "nosuch" not found in (e.a, e.b)`
+	store := func(rows int) *storage.Store {
+		st := storage.NewStore()
+		e := st.Create(schema.NewRelation("e", schema.Col("a", schema.TypeInt), schema.Col("b", schema.TypeString)))
+		for i := 1; i <= rows; i++ {
+			if err := e.Append(schema.Row{schema.Int(int64(i)), schema.String("v")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	cases := []struct {
+		name string
+		rows int
+		sql  string
+	}{
+		{"empty", 0, "SELECT a FROM e WHERE nosuch > 1"},
+		{"all filtered", 3, "SELECT a FROM e WHERE a > 100 AND nosuch > 1"},
+		{"non-empty", 3, "SELECT a FROM e WHERE nosuch > 1"},
+		{"grouped, empty", 0, "SELECT a, COUNT(*) AS n FROM e WHERE nosuch > 1 GROUP BY a"},
+		{"grouped, all filtered", 3, "SELECT a, COUNT(*) AS n FROM e WHERE a > 100 AND nosuch > 1 GROUP BY a"},
+	}
+	for _, c := range cases {
+		st := store(c.rows)
+		for _, workers := range []int{1, 4} {
+			res, err := New(st).WithParallelism(workers).Query(context.Background(), c.sql)
+			if err == nil {
+				t.Fatalf("%s at %d workers: %d rows and no error, want %q", c.name, workers, len(res.Rows), want)
+			}
+			if err.Error() != want {
+				t.Fatalf("%s at %d workers: error %q, want %q", c.name, workers, err, want)
+			}
+		}
+	}
+}

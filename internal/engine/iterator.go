@@ -6,48 +6,57 @@ import (
 	"paradise/internal/schema"
 )
 
-// This file holds the BatchSource extension of Source and the LIMIT
+// This file holds the optional row-side extensions of Source and the LIMIT
 // operator. Every other streaming operator is a stage of the segment
 // pipeline (parallel.go); sort, grouping and window evaluation are pipeline
 // breakers and stay in their materialized form (sort.go, group.go,
 // window.go).
 
-// BatchSource is an optional extension of Source: relations can be opened
-// as pulled batch scans with projection and predicate pushdown, and schemas
-// inspected without materializing rows. storage.Store implements it, and the
-// fragment package implements it for intermediate stage outputs.
+// SchemaSource is the optional capability of naming a relation's schema
+// without touching its rows. storage.Store and the fragment chain's stage
+// sources implement it; for any other source RelationSchema falls back to
+// Relation, which materializes the relation.
+type SchemaSource interface {
+	RelationSchema(name string) (*schema.Relation, error)
+}
+
+// BatchSource is an optional extension of Source for sources that serve
+// rows but no column batches: a relation opens as a pulled batch scan
+// instead of being materialized. The fragment chain's stage source over a
+// non-columnar base implements it; a ColScanner (storage.Store) is never
+// read through it.
 type BatchSource interface {
 	Source
-	// RelationSchema returns the schema of the named relation without
-	// touching its rows.
-	RelationSchema(name string) (*schema.Relation, error)
-	// OpenScan opens a batch scan bound to ctx. The scan's Filter sees
-	// full-width rows; Columns projects after filtering. Implementations
-	// must check ctx per batch so cancellation stops the scan promptly.
-	OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error)
+	SchemaSource
+	// OpenScan opens a full-width batch scan bound to ctx, pulling up to
+	// batchSize rows at a time (<= 0 means schema.DefaultBatchSize).
+	// Implementations must check ctx per batch so cancellation stops the
+	// scan promptly.
+	OpenScan(ctx context.Context, name string, batchSize int) (schema.RowIterator, error)
 }
 
 // RelationSchema returns the schema of a named relation, avoiding row
 // materialization when the source supports it.
 func RelationSchema(src Source, name string) (*schema.Relation, error) {
-	if bs, ok := src.(BatchSource); ok {
-		return bs.RelationSchema(name)
+	if ss, ok := src.(SchemaSource); ok {
+		return ss.RelationSchema(name)
 	}
 	rel, _, err := src.Relation(name)
 	return rel, err
 }
 
-// OpenScan opens a streaming scan over any Source, adapting sources that
-// only materialize with an in-memory scan bound to ctx.
-func OpenScan(ctx context.Context, src Source, name string, sc schema.Scan) (schema.RowIterator, error) {
+// OpenScan opens a streaming full-width scan over a source that serves rows,
+// adapting sources that only materialize with an in-memory scan bound to
+// ctx.
+func OpenScan(ctx context.Context, src Source, name string, batchSize int) (schema.RowIterator, error) {
 	if bs, ok := src.(BatchSource); ok {
-		return bs.OpenScan(ctx, name, sc)
+		return bs.OpenScan(ctx, name, batchSize)
 	}
 	_, rows, err := src.Relation(name)
 	if err != nil {
 		return nil, err
 	}
-	return schema.FilterProject(schema.WithContext(ctx, schema.IterateRows(rows, sc.BatchSize)), sc), nil
+	return schema.WithContext(ctx, schema.IterateRows(rows, batchSize)), nil
 }
 
 // limitIter truncates the stream after n rows and closes its source as soon

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"paradise/internal/plan"
@@ -11,47 +13,105 @@ import (
 	"paradise/internal/storage"
 )
 
-// countingSource wraps a store and counts the rows its scans actually hand
-// to the engine, so tests can assert how much a query pulled from storage.
-type countingSource struct {
-	st      *storage.Store
-	scanned int
+// storeTap wraps a store's columnar faces — the only way the engine reads
+// it — recording every scan request and passing every batch storage hands
+// the engine through hook, so tests can pin, count or fail what a query
+// pulls. seq is the batch's position in its scan (the morsel Seq under
+// OpenColMorsels); hook runs on the pulling goroutine and must be safe for
+// concurrent use; nil passes batches untouched.
+type storeTap struct {
+	*storage.Store
+	hook func(seq int, cb *schema.ColBatch) error
+
+	mu    sync.Mutex
+	scans []tapScan
 }
 
-func (c *countingSource) Relation(name string) (*schema.Relation, schema.Rows, error) {
-	return c.st.Relation(name)
+// tapScan is one recorded scan request.
+type tapScan struct {
+	table string
+	sc    schema.ColScan
 }
 
-func (c *countingSource) RelationSchema(name string) (*schema.Relation, error) {
-	return c.st.RelationSchema(name)
+func (s *storeTap) record(name string, sc schema.ColScan) {
+	s.mu.Lock()
+	s.scans = append(s.scans, tapScan{table: name, sc: sc})
+	s.mu.Unlock()
 }
 
-func (c *countingSource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	it, err := c.st.OpenScan(ctx, name, sc)
-	if err != nil {
+func (s *storeTap) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
+	s.record(name, sc)
+	ci, err := s.Store.OpenColScan(ctx, name, sc)
+	if err != nil || s.hook == nil {
+		return ci, err
+	}
+	return &tapIter{ColIterator: ci, hook: s.hook}, nil
+}
+
+func (s *storeTap) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
+	s.record(name, sc)
+	ms, err := s.Store.OpenColMorsels(ctx, name, sc)
+	if err != nil || s.hook == nil {
+		return ms, err
+	}
+	return &tapMorsels{ColMorselSource: ms, hook: s.hook}, nil
+}
+
+type tapIter struct {
+	schema.ColIterator
+	hook func(int, *schema.ColBatch) error
+	seq  int
+}
+
+func (t *tapIter) NextBatch() (*schema.ColBatch, error) {
+	cb, err := t.ColIterator.NextBatch()
+	if err != nil || cb == nil {
+		return cb, err
+	}
+	t.seq++
+	if err := t.hook(t.seq-1, cb); err != nil {
 		return nil, err
 	}
-	return &countingIter{src: it, n: &c.scanned}, nil
+	return cb, nil
 }
 
-type countingIter struct {
-	src schema.RowIterator
-	n   *int
+type tapMorsels struct {
+	schema.ColMorselSource
+	hook func(int, *schema.ColBatch) error
 }
 
-func (c *countingIter) Next() (schema.Rows, error) {
-	b, err := c.src.Next()
-	*c.n += len(b)
-	return b, err
+func (t *tapMorsels) NextColMorsel() (schema.ColMorsel, error) {
+	m, err := t.ColMorselSource.NextColMorsel()
+	if err != nil || m.Batch == nil {
+		return m, err
+	}
+	if err := t.hook(m.Seq, m.Batch); err != nil {
+		return schema.ColMorsel{Seq: m.Seq}, err
+	}
+	return m, nil
 }
 
-func (c *countingIter) Close() { c.src.Close() }
+// countingSource counts the rows storage hands the engine, so tests can
+// assert how much a query pulled from it.
+type countingSource struct {
+	storeTap
+	scanned atomic.Int64
+}
+
+func newCountingSource(st *storage.Store) *countingSource {
+	c := &countingSource{storeTap: storeTap{Store: st}}
+	c.hook = func(_ int, cb *schema.ColBatch) error {
+		c.scanned.Add(int64(cb.Len()))
+		return nil
+	}
+	return c
+}
 
 // TestLimitStopsScanEarly is the headline streaming property: a LIMIT-n
 // query over a large base relation pulls only O(n + batch) rows from
 // storage instead of scanning it fully.
 func TestLimitStopsScanEarly(t *testing.T) {
-	src := &countingSource{st: benchStore(t, 10_000)}
+	src := newCountingSource(benchStore(t, 10_000))
 	res, err := New(src).Query(context.Background(), "SELECT x, y FROM d LIMIT 10")
 	if err != nil {
 		t.Fatal(err)
@@ -59,16 +119,16 @@ func TestLimitStopsScanEarly(t *testing.T) {
 	if len(res.Rows) != 10 {
 		t.Fatalf("want 10 rows, got %d", len(res.Rows))
 	}
-	if src.scanned > 2*schema.DefaultBatchSize {
+	if src.scanned.Load() > 2*schema.DefaultBatchSize {
 		t.Fatalf("LIMIT 10 pulled %d rows from storage, want <= %d",
-			src.scanned, 2*schema.DefaultBatchSize)
+			src.scanned.Load(), 2*schema.DefaultBatchSize)
 	}
 }
 
 // TestLimitStopsThroughSubquery: early termination propagates through a
 // derived-table pipeline — the inner scan stops too.
 func TestLimitStopsThroughSubquery(t *testing.T) {
-	src := &countingSource{st: benchStore(t, 10_000)}
+	src := newCountingSource(benchStore(t, 10_000))
 	res, err := New(src).Query(context.Background(), "SELECT s FROM (SELECT x + y AS s FROM d) LIMIT 7")
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +136,8 @@ func TestLimitStopsThroughSubquery(t *testing.T) {
 	if len(res.Rows) != 7 {
 		t.Fatalf("want 7 rows, got %d", len(res.Rows))
 	}
-	if src.scanned > 2*schema.DefaultBatchSize {
-		t.Fatalf("nested LIMIT 7 pulled %d rows from storage", src.scanned)
+	if src.scanned.Load() > 2*schema.DefaultBatchSize {
+		t.Fatalf("nested LIMIT 7 pulled %d rows from storage", src.scanned.Load())
 	}
 }
 
@@ -85,13 +145,13 @@ func TestLimitStopsThroughSubquery(t *testing.T) {
 // must read the whole relation and sort before LIMIT truncates, so the
 // result is the true top-n, not the first n.
 func TestOrderByLimitSortsFully(t *testing.T) {
-	src := &countingSource{st: benchStore(t, 10_000)}
+	src := newCountingSource(benchStore(t, 10_000))
 	res, err := New(src).Query(context.Background(), "SELECT x FROM d ORDER BY x DESC LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.scanned != 10_000 {
-		t.Fatalf("ORDER BY + LIMIT must scan everything, scanned %d of 10000", src.scanned)
+	if src.scanned.Load() != 10_000 {
+		t.Fatalf("ORDER BY + LIMIT must scan everything, scanned %d of 10000", src.scanned.Load())
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(res.Rows))
@@ -103,7 +163,7 @@ func TestOrderByLimitSortsFully(t *testing.T) {
 		}
 	}
 	// Cross-check against the full sorted result.
-	full, err := New(src.st).Query(context.Background(), "SELECT x FROM d ORDER BY x DESC")
+	full, err := New(src.Store).Query(context.Background(), "SELECT x FROM d ORDER BY x DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +223,7 @@ func TestProjectionPushdownIntoScan(t *testing.T) {
 // cancelling the context mid-stream stops the storage scan within one
 // batch, no matter how much of the relation remains.
 func TestCancelStopsScanWithinOneBatch(t *testing.T) {
-	src := &countingSource{st: benchStore(t, 10_000)}
+	src := newCountingSource(benchStore(t, 10_000))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -184,9 +244,9 @@ func TestCancelStopsScanWithinOneBatch(t *testing.T) {
 	if _, err := it.Next(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("post-cancel Next = %v, want context.Canceled", err)
 	}
-	if src.scanned > 2*schema.DefaultBatchSize {
+	if src.scanned.Load() > 2*schema.DefaultBatchSize {
 		t.Fatalf("cancelled scan pulled %d rows from storage, want <= %d",
-			src.scanned, 2*schema.DefaultBatchSize)
+			src.scanned.Load(), 2*schema.DefaultBatchSize)
 	}
 }
 
@@ -194,7 +254,7 @@ func TestCancelStopsScanWithinOneBatch(t *testing.T) {
 // input through the same ctx-bound scans, so cancellation interrupts even
 // the materializing paths mid-scan.
 func TestCancelStopsBreakerDrain(t *testing.T) {
-	src := &countingSource{st: benchStore(t, 10_000)}
+	src := newCountingSource(benchStore(t, 10_000))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the breaker starts draining
 
@@ -205,8 +265,8 @@ func TestCancelStopsBreakerDrain(t *testing.T) {
 	if _, _, err := New(src).OpenSelect(ctx, sel); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Open under cancelled ctx = %v, want context.Canceled", err)
 	}
-	if src.scanned > schema.DefaultBatchSize {
-		t.Fatalf("cancelled breaker pulled %d rows from storage", src.scanned)
+	if src.scanned.Load() > schema.DefaultBatchSize {
+		t.Fatalf("cancelled breaker pulled %d rows from storage", src.scanned.Load())
 	}
 }
 
@@ -214,7 +274,7 @@ func TestCancelStopsBreakerDrain(t *testing.T) {
 // including the LIMIT iterator, which already closed its upstream eagerly
 // when the limit was reached.
 func TestPipelineCloseIdempotent(t *testing.T) {
-	src := &countingSource{st: benchStore(t, 1_000)}
+	src := newCountingSource(benchStore(t, 1_000))
 	sel, err := sqlparser.Parse("SELECT x, y FROM d LIMIT 10")
 	if err != nil {
 		t.Fatal(err)

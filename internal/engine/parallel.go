@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"runtime/debug"
@@ -45,14 +44,6 @@ import (
 //   - Join build sides (drainBuildSide).
 //   - The per-morsel source pull (one short critical section per batch)
 //     and the exchange's in-order re-emission.
-
-// MorselScanner is an optional extension of BatchSource: relations can be
-// opened as shared morsel sources feeding any number of concurrent
-// workers. storage.Store implements it with lock-free segment-aligned
-// claims; sources without it are adapted through schema.ShareIterator.
-type MorselScanner interface {
-	OpenMorsels(ctx context.Context, name string, batchSize int) (schema.MorselSource, error)
-}
 
 // batchFn transforms one morsel's rows inside a worker. It must not mutate
 // the input batch (which may alias storage memory); it returns either the

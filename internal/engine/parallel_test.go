@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,48 +115,12 @@ func TestParallelEquivalenceEmptyInput(t *testing.T) {
 	}
 }
 
-// atomicCountingSource counts rows handed out by its scans with an atomic
-// counter, so parallel workers can be observed race-free.
-type atomicCountingSource struct {
-	st      *storage.Store
-	scanned atomic.Int64
-}
-
-func (c *atomicCountingSource) Relation(name string) (*schema.Relation, schema.Rows, error) {
-	return c.st.Relation(name)
-}
-
-func (c *atomicCountingSource) RelationSchema(name string) (*schema.Relation, error) {
-	return c.st.RelationSchema(name)
-}
-
-func (c *atomicCountingSource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	it, err := c.st.OpenScan(ctx, name, sc)
-	if err != nil {
-		return nil, err
-	}
-	return &atomicCountingIter{src: it, n: &c.scanned}, nil
-}
-
-type atomicCountingIter struct {
-	src schema.RowIterator
-	n   *atomic.Int64
-}
-
-func (c *atomicCountingIter) Next() (schema.Rows, error) {
-	b, err := c.src.Next()
-	c.n.Add(int64(len(b)))
-	return b, err
-}
-
-func (c *atomicCountingIter) Close() { c.src.Close() }
-
 // TestParallelCancellationStopsScan: cancelling the context mid-stream
 // stops the storage reads within one batch per worker (plus the bounded
 // exchange look-ahead) — the bulk of a large table is never read.
 func TestParallelCancellationStopsScan(t *testing.T) {
 	const total = 50_000
-	src := &atomicCountingSource{st: benchStore(t, total)}
+	src := newCountingSource(benchStore(t, total))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -197,7 +160,7 @@ func TestParallelCancellationStopsScan(t *testing.T) {
 // TestParallelCancelBeforePull: a pipeline opened under an already
 // cancelled context reads nothing at all from storage.
 func TestParallelCancelBeforePull(t *testing.T) {
-	src := &atomicCountingSource{st: benchStore(t, 10_000)}
+	src := newCountingSource(benchStore(t, 10_000))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, it, err := New(src).WithParallelism(4).Open(ctx, mustPlan(t, "SELECT * FROM d WHERE z < 1"))
@@ -222,7 +185,7 @@ func TestParallelErrorPosition(t *testing.T) {
 	errBoom := errors.New("boom")
 	st := benchStore(t, 10_000)
 	for _, workers := range []int{1, 2, 4} {
-		src := &failingSource{st: st, failAfter: 5, err: errBoom}
+		src := failingSource(st, 5, errBoom)
 		n, err := rowsBeforeError(t, New(src).WithParallelism(workers), "SELECT x + y AS s FROM d")
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("workers=%d: want boom error, got %v", workers, err)
@@ -267,44 +230,15 @@ func rowsBeforeError(t *testing.T, eng *Engine, sql string) (int, error) {
 	}
 }
 
-// failingSource injects an error after failAfter batches of any scan.
-type failingSource struct {
-	st        *storage.Store
-	failAfter int
-	err       error
+// failingSource fails every scan of st with err from its batch failAfter on.
+func failingSource(st *storage.Store, failAfter int, err error) *storeTap {
+	return &storeTap{Store: st, hook: func(seq int, _ *schema.ColBatch) error {
+		if seq >= failAfter {
+			return err
+		}
+		return nil
+	}}
 }
-
-func (f *failingSource) Relation(name string) (*schema.Relation, schema.Rows, error) {
-	return f.st.Relation(name)
-}
-
-func (f *failingSource) RelationSchema(name string) (*schema.Relation, error) {
-	return f.st.RelationSchema(name)
-}
-
-func (f *failingSource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	it, err := f.st.OpenScan(ctx, name, sc)
-	if err != nil {
-		return nil, err
-	}
-	return &failingIter{src: it, left: f.failAfter, err: f.err}, nil
-}
-
-type failingIter struct {
-	src  schema.RowIterator
-	left int
-	err  error
-}
-
-func (f *failingIter) Next() (schema.Rows, error) {
-	if f.left <= 0 {
-		return nil, f.err
-	}
-	f.left--
-	return f.src.Next()
-}
-
-func (f *failingIter) Close() { f.src.Close() }
 
 // TestParallelConcurrentOpens: one engine, one plan, many goroutines each
 // opening and draining their own parallel pipeline — plans are read-only

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"paradise/internal/plan"
@@ -12,56 +13,33 @@ import (
 )
 
 // cellCountingSource measures what actually crosses the storage→engine
-// boundary: rows and cells (rows × columns) per scan, after the storage
-// layer applied any pushed-down predicate and projection. It is how the
-// plan-IR acceptance tests prove that pruned columns and pushed predicates
-// shrink the data leaving storage.
+// boundary: rows and cells (rows × loaded columns) of the column batches
+// storage serves, after it applied the scan's projection and zone-map
+// pruning. It is how the plan-IR acceptance tests prove that pruned columns
+// never leave storage.
 type cellCountingSource struct {
-	st    *storage.Store
-	rows  int
-	cells int
+	storeTap
+	rows, cells atomic.Int64
 }
 
-func (c *cellCountingSource) Relation(name string) (*schema.Relation, schema.Rows, error) {
-	return c.st.Relation(name)
-}
-
-func (c *cellCountingSource) RelationSchema(name string) (*schema.Relation, error) {
-	return c.st.RelationSchema(name)
-}
-
-func (c *cellCountingSource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	it, err := c.st.OpenScan(ctx, name, sc)
-	if err != nil {
-		return nil, err
+func newCellCountingSource(st *storage.Store) *cellCountingSource {
+	c := &cellCountingSource{storeTap: storeTap{Store: st}}
+	c.hook = func(_ int, cb *schema.ColBatch) error {
+		c.rows.Add(int64(cb.Len()))
+		c.cells.Add(int64(cb.Len() * len(cb.Vecs)))
+		return nil
 	}
-	return &cellCountingIter{src: it, s: c}, nil
+	return c
 }
-
-type cellCountingIter struct {
-	src schema.RowIterator
-	s   *cellCountingSource
-}
-
-func (c *cellCountingIter) Next() (schema.Rows, error) {
-	b, err := c.src.Next()
-	c.s.rows += len(b)
-	for _, r := range b {
-		c.s.cells += len(r)
-	}
-	return b, err
-}
-
-func (c *cellCountingIter) Close() { c.src.Close() }
 
 func queryCells(t *testing.T, n int, sql string) (rows, cells, resultRows int) {
 	t.Helper()
-	src := &cellCountingSource{st: benchStore(t, n)}
+	src := newCellCountingSource(benchStore(t, n))
 	res, err := New(src).Query(context.Background(), sql)
 	if err != nil {
 		t.Fatalf("%q: %v", sql, err)
 	}
-	return src.rows, src.cells, len(res.Rows)
+	return int(src.rows.Load()), int(src.cells.Load()), len(res.Rows)
 }
 
 // TestPrunedColumnsExpressionProjection: a projection over expressions reads
@@ -94,28 +72,60 @@ func TestPrunedColumnsGroupedQuery(t *testing.T) {
 
 // TestPushedPredicateThroughDerivedBlock: an outer predicate over a derived
 // table's computed column migrates into the base scan (rewritten through
-// the projection), so rows failing it never leave storage. x and y are
-// in [0, 8) and [0, 6), so x + y > 100 matches nothing: the scan must hand
-// the engine zero rows.
+// the projection), so rows failing it never leave the scan: its filter runs
+// over the column batches before any row reaches the derived block's
+// select list. x and y are in [0, 8) and [0, 6), so x + y > 100 matches
+// nothing: the scan segment must emit zero rows.
 func TestPushedPredicateThroughDerivedBlock(t *testing.T) {
-	const n = 4_000
-	rows, cells, resultRows := queryCells(t, n,
-		"SELECT s FROM (SELECT x + y AS s, z FROM d) WHERE s > 100")
-	if resultRows != 0 {
-		t.Fatalf("expected empty result, got %d rows", resultRows)
+	const q = "SELECT s FROM (SELECT x + y AS s, z FROM d) WHERE s > 100"
+	ctx := context.Background()
+	eng := New(benchStore(t, 4_000))
+	sel, err := sqlparser.Parse(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rows != 0 || cells != 0 {
-		t.Fatalf("pushed predicate: %d rows / %d cells left storage, want 0/0", rows, cells)
+	root, err := plan.FromAST(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root = plan.Optimize(root, plan.Options{Catalog: eng.Catalog(), CrossBlock: true})
+	var scan *plan.Scan
+	plan.Walk(root, func(n plan.Node) {
+		if s, ok := n.(*plan.Scan); ok {
+			scan = s
+		}
+	})
+	if scan == nil || scan.Predicate == nil {
+		t.Fatalf("the outer predicate did not reach the base scan")
+	}
+	seg, err := eng.openScanSeg(ctx, scan, &plan.Block{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := schema.DrainIterator(seg.iterator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 0 {
+		t.Fatalf("pushed predicate %s: %d rows left the scan, want 0", scan.Predicate.SQL(), len(rows))
+	}
+	res, err := eng.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("expected empty result, got %d rows", len(res.Rows))
 	}
 }
 
 // TestPrunedColumnsJoinSides: qualified references prune each join side's
-// scan independently. d keeps only x and cell of its 5 columns — the filter
-// column z rides the pushed predicate (which runs before projection inside
-// the scan) and never leaves storage at all.
+// scan independently. d loads only x and cell of its 5 columns for the
+// query, plus the filter column z for the scan's kernels; y and t never
+// leave storage. The filter itself reaches the scan as its structured
+// predicate, so storage can skip segments on it.
 func TestPrunedColumnsJoinSides(t *testing.T) {
 	const n = 4_000
-	src := &cellCountingSource{st: benchStore(t, n)}
+	src := newCellCountingSource(benchStore(t, n))
 	res, err := New(src).Query(context.Background(),
 		"SELECT d.x, cells.label FROM d JOIN cells ON d.cell = cells.cell WHERE d.z < 100")
 	if err != nil {
@@ -124,10 +134,34 @@ func TestPrunedColumnsJoinSides(t *testing.T) {
 	if len(res.Rows) != n {
 		t.Fatalf("join lost rows: %d of %d", len(res.Rows), n)
 	}
-	// d contributes x, cell (2 of 5); cells is already minimal (2 of 2).
-	want := 2*n + 2*64
-	if src.cells != want {
-		t.Fatalf("join pruning: %d cells left storage, want %d", src.cells, want)
+	var dScans int
+	for _, s := range src.scans {
+		if s.table != "d" {
+			continue
+		}
+		dScans++
+		rel, err := src.RelationSchema("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loaded []string
+		for _, c := range s.sc.Columns {
+			loaded = append(loaded, rel.Columns[c].Name)
+		}
+		if got := strings.Join(loaded, ","); got != "x,cell,z" {
+			t.Fatalf("d loads columns %q, want x,cell (output) and z (filter)", got)
+		}
+		if len(s.sc.Predicate) != 1 || rel.Columns[s.sc.Predicate[0].Col].Name != "z" {
+			t.Fatalf("d.z < 100 did not reach the scan's predicate: %+v", s.sc.Predicate)
+		}
+	}
+	if dScans != 1 {
+		t.Fatalf("d scanned %d times, want once", dScans)
+	}
+	// d contributes x, cell, z (3 of 5); cells is already minimal (2 of 2).
+	want := 3*n + 2*64
+	if got := int(src.cells.Load()); got != want {
+		t.Fatalf("join pruning: %d cells left storage, want %d", got, want)
 	}
 }
 
@@ -192,7 +226,7 @@ func TestPushdownKeepsResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		counted, err := New(&cellCountingSource{st: st}).Query(context.Background(), q)
+		counted, err := New(newCellCountingSource(st)).Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%q (counted): %v", q, err)
 		}

@@ -111,30 +111,6 @@ func TestPruningSkipsSegmentsUnderSQL(t *testing.T) {
 	}
 }
 
-// predCapture wraps a store and records the structured predicates pushed
-// into each columnar scan, so tests can pin the decline shapes: only the
-// kernelizable conjunct *prefix* may reach storage.
-type predCapture struct {
-	*storage.Store
-	scans    []schema.ColScan
-	rowScans []schema.Scan
-}
-
-func (p *predCapture) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	p.rowScans = append(p.rowScans, sc)
-	return p.Store.OpenScan(ctx, name, sc)
-}
-
-func (p *predCapture) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
-	p.scans = append(p.scans, sc)
-	return p.Store.OpenColScan(ctx, name, sc)
-}
-
-func (p *predCapture) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
-	p.scans = append(p.scans, sc)
-	return p.Store.OpenColMorsels(ctx, name, sc)
-}
-
 // TestPushdownDeclineShapes pins which conjuncts become pruning hints: a
 // kernelizable comparison ahead of a non-kernelizable expression is pushed
 // down; behind one, it is not (error order would change). NULL tests push
@@ -152,20 +128,14 @@ func TestPushdownDeclineShapes(t *testing.T) {
 		{"SELECT x FROM d WHERE x < y", 1},
 	}
 	for _, tc := range cases {
-		src := &predCapture{Store: segStore(t, 1_000, 128)}
+		src := &storeTap{Store: segStore(t, 1_000, 128)}
 		if _, err := New(src).Query(context.Background(), tc.sql); err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		var got int
-		switch {
-		case len(src.scans) > 0:
-			got = len(src.scans[0].Predicate)
-		case len(src.rowScans) > 0:
-			got = len(src.rowScans[0].Predicate)
-		default:
+		if len(src.scans) == 0 {
 			t.Fatalf("%s: no scan opened", tc.sql)
 		}
-		if got != tc.want {
+		if got := len(src.scans[0].sc.Predicate); got != tc.want {
 			t.Fatalf("%s: pushed %d structured conjuncts, want %d", tc.sql, got, tc.want)
 		}
 	}

@@ -13,8 +13,8 @@ import (
 	"paradise/internal/storage"
 )
 
-// rowOnly hides every optional capability of a source (BatchSource,
-// MorselScanner, ColScanner), exposing only Relation. Scans over it take the
+// rowOnly hides every optional capability of a source (SchemaSource,
+// BatchSource, ColScanner), exposing only Relation. Scans over it take the
 // materialized row path, which makes it the reference executor for the
 // vectorized-equals-row equivalence suite below: the same query runs once
 // against the store (vectorized where the engine chooses to) and once

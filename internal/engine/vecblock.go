@@ -88,9 +88,9 @@ func (e *Engine) vecScanSource(cs ColScanner, s *plan.Scan, blk *plan.Block) *ve
 	}
 	conds = append(conds, filters...)
 
-	p, ok := compileVecScan(rel, full, conds, e.scanColumns(s, blk, full))
-	if !ok {
-		return nil
+	p, err := compileVecScan(rel, full, conds, e.scanColumns(s, blk, full))
+	if err != nil {
+		return nil // the segment path surfaces the error
 	}
 	sc := p.colScan(rel.Arity())
 	return &vecSource{p: p, open: func(ctx context.Context, _ bool) (schema.ColIterator, error) {

@@ -61,8 +61,8 @@ func (e *Engine) compileVecJoinProbe(j *plan.Join) (*vecJoinProbe, bool) {
 	if s.Predicate != nil {
 		conds = append(conds, s.Predicate)
 	}
-	p, ok := compileVecScan(rel, full, conds, e.scanColumns(s, &plan.Block{}, full))
-	if !ok {
+	p, err := compileVecScan(rel, full, conds, e.scanColumns(s, &plan.Block{}, full))
+	if err != nil {
 		return nil, false
 	}
 	return &vecJoinProbe{cs: cs, table: s.Table, p: p, arity: rel.Arity(), b: p.outBinding()}, true
@@ -340,8 +340,8 @@ func (j *vecJoinIter) Close() { j.src.Close() }
 // batches, with the block's residual filters compiled over the joined
 // layout. nil when they do not compile.
 func (c *vecJoinCore) source(blk *plan.Block) *vecSource {
-	p, ok := compileVecScan(c.rel, c.b, blk.FilterConds(), nil)
-	if !ok {
+	p, err := compileVecScan(c.rel, c.b, blk.FilterConds(), nil)
+	if err != nil {
 		return nil
 	}
 	return &vecSource{p: p, open: func(ctx context.Context, keep bool) (schema.ColIterator, error) {

@@ -7,13 +7,13 @@ import (
 	"paradise/internal/sqlparser"
 )
 
-// ColScanner is the optional source capability behind vectorized scans: a
-// source that can serve column batches (and columnar morsels) directly, so
+// ColScanner is the source capability behind every scan of a base table: a
+// source that serves column batches (and columnar morsels) directly, so
 // filter kernels run over typed vectors and rejected rows are never pivoted
 // to row form. storage.Store implements it, and so does the fragment
-// chain's source for a stage fed column batches by the stage below; scans
-// over other sources run the row-at-a-time scan stage (or the source's own
-// pushed-down scan) instead.
+// chain's source for every stage over a columnar base. A scan over a
+// ColScanner always compiles to kernels; only sources without it (test
+// references that serve rows) run the row-at-a-time scan stage.
 type ColScanner interface {
 	// OpenColScan opens a single-consumer columnar scan over the named
 	// relation with the given projection, structured pruning predicate and
@@ -55,15 +55,14 @@ type vecScanPlan struct {
 // compileVecScan builds a vectorized plan over a columnar input laid out as
 // rel and bound as full — a base table under its qualifier, or a join's
 // combined layout — with the given filter conjuncts and output projection
-// (outCols nil = full width). It reports ok=false when the filters cannot be
-// vectorized faithfully (an unresolvable residual column); the caller then
-// uses the row path.
+// (outCols nil = full width). It fails with the column's resolution error
+// when a filter names a column the layout lacks.
 //
 // Kernels take the longest compilable *prefix* of the conjunct list: a
 // kernelizable conjunct behind a non-kernelizable one must not run early,
 // because the row path would have short-circuited rows the earlier conjunct
 // rejects or errors on.
-func compileVecScan(rel *schema.Relation, full *binding, conds []sqlparser.Expr, outCols []int) (*vecScanPlan, bool) {
+func compileVecScan(rel *schema.Relation, full *binding, conds []sqlparser.Expr, outCols []int) (*vecScanPlan, error) {
 	p := &vecScanPlan{}
 	if outCols == nil {
 		p.load = make([]int, rel.Arity())
@@ -77,9 +76,11 @@ func compileVecScan(rel *schema.Relation, full *binding, conds []sqlparser.Expr,
 
 	// pos resolves a column reference to its position in the load layout,
 	// extending the layout for residual-only columns.
+	var resolveErr error
 	pos := func(c *sqlparser.ColumnRef) (int, bool) {
 		ti, err := full.resolve(c)
 		if err != nil {
+			resolveErr = err
 			return -1, false
 		}
 		for i, t := range p.load {
@@ -105,7 +106,7 @@ func compileVecScan(rel *schema.Relation, full *binding, conds []sqlparser.Expr,
 		// Every residual column must live in the load layout.
 		for _, c := range sqlparser.ColumnRefs(p.residual) {
 			if _, ok := pos(c); !ok {
-				return nil, false
+				return nil, resolveErr
 			}
 		}
 	}
@@ -113,7 +114,7 @@ func compileVecScan(rel *schema.Relation, full *binding, conds []sqlparser.Expr,
 	p.lrel = rel.Project(p.load)
 	p.orel = rel.Project(p.load[:p.m])
 	p.lb = full.project(p.load)
-	return p, true
+	return p, nil
 }
 
 // outBinding binds the output columns, the first m of the load layout.
@@ -289,8 +290,8 @@ func newVecMorsels(src schema.ColMorselSource, mk func() colStage, workers int) 
 	return v
 }
 
-// newVecScanMorsels is the morsel source of a scan segment.
-func newVecScanMorsels(src schema.ColMorselSource, p *vecScanPlan, workers int) *vecMorsels {
+// scanVecMorsels is the morsel source of a scan segment.
+func scanVecMorsels(src schema.ColMorselSource, p *vecScanPlan, workers int) *vecMorsels {
 	v := newVecMorsels(src, func() colStage { return newVecExec(p) }, workers)
 	v.exact = !p.filters()
 	return v

@@ -287,9 +287,17 @@ func TestOpenProblemShapes(t *testing.T) {
 func TestSyntheticDBDeterministic(t *testing.T) {
 	a := SyntheticDB(100, 42)
 	b := SyntheticDB(100, 42)
-	ra, _ := a.Table("d")
-	rb, _ := b.Table("d")
-	sa, sb := ra.Snapshot(), rb.Snapshot()
+	_, sa, err := a.Relation("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sb, err := b.Relation("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sa) != 100 || len(sb) != len(sa) {
+		t.Fatalf("SyntheticDB rows: %d and %d, want 100", len(sa), len(sb))
+	}
 	for i := range sa {
 		for j := range sa[i] {
 			if !sa[i][j].Identical(sb[i][j]) {

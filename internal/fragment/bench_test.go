@@ -58,7 +58,7 @@ func benchExecute(b *testing.B, q string) {
 	}
 }
 
-func BenchmarkExecuteFilterProject(b *testing.B) {
+func BenchmarkExecuteScanFilter(b *testing.B) {
 	benchExecute(b, "SELECT x, y FROM d WHERE x > y AND z < 1")
 }
 

@@ -15,8 +15,8 @@ import (
 	"paradise/internal/storage"
 )
 
-// rowOnly hides every optional capability of a source (BatchSource,
-// MorselScanner, ColScanner), leaving Relation: the engine compiles every
+// rowOnly hides every optional capability of a source (SchemaSource,
+// BatchSource, ColScanner), leaving Relation: the engine compiles every
 // stage over it on the row path and every stage boundary ships rows. That
 // makes the same plan over rowOnly the reference for the columnar chain.
 type rowOnly struct{ src engine.Source }
@@ -93,10 +93,10 @@ func TestColumnarChainMatchesRowChain(t *testing.T) {
 	}
 }
 
-// flakySource fails every scan it opens after `after` batches. With
-// columnar set it serves (and fails) column batches like the store; without,
-// it is a plain BatchSource and the chain over it runs on rows — two sources
-// that break at the same row position.
+// flakySource fails every scan it opens after `after` batches. It is a
+// plain BatchSource over the store's materialized rows, so the chain over it
+// runs on rows; flakyColSource serves (and fails) column batches like the
+// store — two sources that break at the same row position.
 type flakySource struct {
 	st    *storage.Store
 	after int
@@ -109,8 +109,8 @@ func (f *flakySource) Relation(name string) (*schema.Relation, schema.Rows, erro
 func (f *flakySource) RelationSchema(name string) (*schema.Relation, error) {
 	return f.st.RelationSchema(name)
 }
-func (f *flakySource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	it, err := f.st.OpenScan(ctx, name, sc)
+func (f *flakySource) OpenScan(ctx context.Context, name string, batchSize int) (schema.RowIterator, error) {
+	it, err := engine.OpenScan(ctx, rowOnly{f.st}, name, batchSize)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +362,7 @@ func TestStageOutputReadTwiceColumnar(t *testing.T) {
 			return err
 		},
 		"OpenScan": func(s *colStageSource) error {
-			_, err := s.OpenScan(ctx, "d1", schema.Scan{})
+			_, err := s.OpenScan(ctx, "d1", 0)
 			return err
 		},
 	}

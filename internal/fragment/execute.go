@@ -154,15 +154,18 @@ func (s *stageSource) RelationSchema(name string) (*schema.Relation, error) {
 	return engine.RelationSchema(s.base, name)
 }
 
-func (s *stageSource) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
+// OpenScan serves the stage output as the stage produces its batches
+// (batchSize is a cap the stage does not need); base relations open on the
+// base source.
+func (s *stageSource) OpenScan(ctx context.Context, name string, batchSize int) (schema.RowIterator, error) {
 	if name == s.name {
 		it, err := s.take()
 		if err != nil {
 			return nil, err
 		}
-		return schema.FilterProject(it, sc), nil
+		return it, nil
 	}
-	return engine.OpenScan(ctx, s.base, name, sc)
+	return engine.OpenScan(ctx, s.base, name, batchSize)
 }
 
 // Relation is the materialized fallback of the engine's Source interface;

@@ -24,39 +24,6 @@ type RowIterator interface {
 	Close()
 }
 
-// Predicate filters rows during a scan. It must not retain or mutate the row.
-type Predicate func(Row) (bool, error)
-
-// Scan describes a pushed-down scan over a named relation: an optional
-// column projection, an optional row predicate (applied before projection,
-// over the full-width row), and the batch size.
-type Scan struct {
-	// Columns selects positions of the scanned relation in output order;
-	// nil keeps every column.
-	Columns []int
-	// Filter drops rows before projection; nil keeps every row.
-	Filter Predicate
-	// Predicate is the structured restatement of Filter's kernelizable
-	// conjunct prefix (see ColPred): a pruning hint that lets storage skip
-	// segments whose zone maps prove no row can pass. Filter remains
-	// authoritative — setting Predicate without an implying Filter is a
-	// caller bug. Must be nil when Filter is nil.
-	Predicate []ColPred
-	// BatchSize caps rows per pull; <= 0 means DefaultBatchSize.
-	BatchSize int
-}
-
-// Empty reports whether the scan is a plain full-relation read.
-func (sc Scan) Empty() bool { return sc.Columns == nil && sc.Filter == nil }
-
-// batch normalizes the batch size.
-func (sc Scan) batch() int {
-	if sc.BatchSize <= 0 {
-		return DefaultBatchSize
-	}
-	return sc.BatchSize
-}
-
 // Project returns the relation restricted to the given column positions, in
 // that order. A nil cols returns the receiver unchanged.
 func (r *Relation) Project(cols []int) *Relation {
@@ -109,87 +76,6 @@ func (s *sliceIterator) Next() (Rows, error) {
 func (s *sliceIterator) Close() { s.pos = len(s.rows) }
 
 func (s *sliceIterator) SizeHint() int { return len(s.rows) - s.pos }
-
-// scanIterator applies a Scan (filter then projection) to an upstream
-// iterator, reusing one output buffer across pulls.
-type scanIterator struct {
-	src RowIterator
-	sc  Scan
-	buf Rows
-}
-
-// FilterProject wraps an iterator with a Scan's filter and projection. An
-// empty scan returns the iterator unchanged.
-func FilterProject(src RowIterator, sc Scan) RowIterator {
-	if sc.Empty() {
-		return src
-	}
-	return &scanIterator{src: src, sc: sc}
-}
-
-// ScanRows applies a Scan to materialized rows: the batch-iterator form of a
-// table scan for sources that hold their relations in memory.
-func ScanRows(rows Rows, sc Scan) RowIterator {
-	return FilterProject(IterateRows(rows, sc.batch()), sc)
-}
-
-func (s *scanIterator) Next() (Rows, error) {
-	for {
-		in, err := s.src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if in == nil {
-			return nil, nil
-		}
-		// Projected rows share one backing array per batch: one allocation
-		// per pull instead of one per row. The array is fresh each batch —
-		// rows may be retained by consumers — only the header buffer is
-		// reused.
-		var vals []Value
-		if s.sc.Columns != nil {
-			vals = make([]Value, 0, len(in)*len(s.sc.Columns))
-		}
-		out := s.buf[:0]
-		for _, r := range in {
-			if s.sc.Filter != nil {
-				ok, err := s.sc.Filter(r)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			if s.sc.Columns != nil {
-				start := len(vals)
-				for _, c := range s.sc.Columns {
-					vals = append(vals, r[c])
-				}
-				r = vals[start:len(vals):len(vals)]
-			}
-			out = append(out, r)
-		}
-		if len(out) > 0 {
-			s.buf = out
-			return out, nil
-		}
-		// Every row of the batch was filtered out: pull again rather than
-		// returning an ambiguous empty batch.
-	}
-}
-
-func (s *scanIterator) Close() { s.src.Close() }
-
-func (s *scanIterator) SizeHint() int {
-	if s.sc.Filter != nil {
-		return 0 // a filter may drop anything; no useful bound
-	}
-	if h, ok := s.src.(SizeHinter); ok {
-		return h.SizeHint()
-	}
-	return 0
-}
 
 // WithContext binds an iterator to a context: every pull first checks the
 // context and surfaces ctx.Err() once it is cancelled, so a cancelled

@@ -2,7 +2,6 @@ package schema
 
 import (
 	"context"
-	"errors"
 	"testing"
 )
 
@@ -40,47 +39,6 @@ func TestIterateRowsEmpty(t *testing.T) {
 	}
 }
 
-func TestScanRowsFilterProject(t *testing.T) {
-	rows := make(Rows, 20)
-	for i := range rows {
-		rows[i] = Row{Int(int64(i)), String("v")}
-	}
-	it := ScanRows(rows, Scan{
-		Columns:   []int{0},
-		Filter:    func(r Row) (bool, error) { return r[0].AsInt()%2 == 0, nil },
-		BatchSize: 4,
-	})
-	got, err := DrainIterator(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("want 10 even rows, got %d", len(got))
-	}
-	for i, r := range got {
-		if len(r) != 1 || r[0].AsInt() != int64(2*i) {
-			t.Fatalf("row %d = %v", i, r)
-		}
-	}
-}
-
-func TestScanRowsFilterError(t *testing.T) {
-	wantErr := errors.New("boom")
-	it := ScanRows(iterRows(5), Scan{
-		Filter: func(Row) (bool, error) { return false, wantErr },
-	})
-	if _, err := DrainIterator(it); !errors.Is(err, wantErr) {
-		t.Fatalf("want filter error, got %v", err)
-	}
-}
-
-func TestFilterProjectEmptyScanPassthrough(t *testing.T) {
-	src := IterateRows(iterRows(3), 2)
-	if FilterProject(src, Scan{}) != src {
-		t.Fatal("empty scan should not wrap the iterator")
-	}
-}
-
 func TestProjectRelation(t *testing.T) {
 	rel := NewRelation("r", Col("a", TypeInt), Col("b", TypeFloat), Col("c", TypeString))
 	p := rel.Project([]int{2, 0})
@@ -98,10 +56,8 @@ func TestProjectRelation(t *testing.T) {
 func TestIteratorCloseIdempotent(t *testing.T) {
 	rows := Rows{{Int(1)}, {Int(2)}, {Int(3)}}
 	iters := map[string]RowIterator{
-		"slice":  IterateRows(rows, 2),
-		"scan":   ScanRows(rows, Scan{Filter: func(Row) (bool, error) { return true, nil }}),
-		"ctx":    WithContext(cancelledCtx(), IterateRows(rows, 2)),
-		"filter": FilterProject(IterateRows(rows, 2), Scan{Columns: []int{0}}),
+		"slice": IterateRows(rows, 2),
+		"ctx":   WithContext(cancelledCtx(), IterateRows(rows, 2)),
 	}
 	for name, it := range iters {
 		it.Close()

@@ -1,9 +1,9 @@
 package schema
 
 // This file defines the structured scan predicate: the narrow language the
-// storage layer understands well enough to consult zone maps with. A scan's
-// Filter (row path) and the engine's filter kernels (columnar path) remain
-// the authoritative predicate evaluation — ColPred is a *pruning hint*, a
+// storage layer understands well enough to consult zone maps with. The
+// engine's filter kernels and residual filter remain the authoritative
+// predicate evaluation — ColPred is a *pruning hint*, a
 // conservative re-statement of the kernelizable conjunct prefix over base
 // table column positions. Storage may use it to skip whole segments whose
 // zone maps prove no row can pass; it must never use it to admit rows.

@@ -87,7 +87,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsIdentical(t, "recovered scan", drainRows(t, tab.Scan(context.Background(), schema.Scan{})), rows)
+	rowsIdentical(t, "recovered scan", drainBatches(t, tab.ScanColumns(context.Background(), schema.ColScan{})), rows)
 	sameColumnStats(t, "recovered stats", tab.Stats(), origTab.Stats())
 
 	// Appends continue after recovery and the next seal does not collide
@@ -105,7 +105,7 @@ func TestDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowsIdentical(t, "append after recovery",
-		drainRows(t, tab2.Scan(context.Background(), schema.Scan{})), append(append(schema.Rows{}, rows...), extra...))
+		drainBatches(t, tab2.ScanColumns(context.Background(), schema.ColScan{})), append(append(schema.Rows{}, rows...), extra...))
 }
 
 // corruptions maps a name to a mutation of the on-disk segment files.
@@ -152,7 +152,8 @@ var corruptions = map[string]func(t *testing.T, files []string){
 // TestDiskBitRotSurfacesOnScan: a flipped byte inside a column region is
 // invisible to footer-only recovery (the footer checksum still passes) but
 // must surface as a checksum error the moment the region is decoded —
-// never as silently wrong data.
+// never as silently wrong data, and never as silently missing rows from
+// the materialized Relation.
 func TestDiskBitRotSurfacesOnScan(t *testing.T) {
 	dir := t.TempDir()
 	rows := mixedRows(300, 11)
@@ -172,10 +173,13 @@ func TestDiskBitRotSurfacesOnScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := tab.Scan(context.Background(), schema.Scan{})
+	if _, rows, err := re.Relation("mix"); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("Relation over a rotted segment: %d rows, err %v; want a checksum error", len(rows), err)
+	}
+	it := tab.ScanColumns(context.Background(), schema.ColScan{})
 	defer it.Close()
 	for {
-		b, err := it.Next()
+		b, err := it.NextBatch()
 		if err != nil {
 			if !strings.Contains(err.Error(), "checksum") {
 				t.Fatalf("want a checksum error, got %v", err)
@@ -209,7 +213,7 @@ func TestDiskCrashRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := drainRows(t, tab.Scan(context.Background(), schema.Scan{}))
+			got := drainBatches(t, tab.ScanColumns(context.Background(), schema.ColScan{}))
 
 			// The recovered relation must be a prefix of the original corpus
 			// aligned to a 64-row segment boundary (or the full corpus, when
@@ -260,7 +264,7 @@ func TestDiskCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := append(append(schema.Rows{}, rows[:len(got)]...), extra...)
-			rowsIdentical(t, name+" resume", drainRows(t, tab2.Scan(context.Background(), schema.Scan{})), want)
+			rowsIdentical(t, name+" resume", drainBatches(t, tab2.ScanColumns(context.Background(), schema.ColScan{})), want)
 		})
 	}
 }

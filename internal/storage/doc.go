@@ -3,11 +3,14 @@
 // by the CLI tools. Tables are safe for concurrent readers and writers,
 // matching the ingestion pattern of sensor streams feeding queries.
 //
-// Tables are read three ways, all bound to a context checked per batch:
-// Snapshot materializes a stable copy; Table.Scan streams batches
-// incrementally with predicate and projection pushdown, so an early-closing
+// Tables are stored column-major only, and queries read them as column
+// batches, two ways, both bound to a context checked per batch:
+// Table.ScanColumns streams zero-copy windows of the projected columns
+// incrementally, skipping segments by zone map, so an early-closing
 // consumer (LIMIT) leaves the rest of the table untouched; and
-// Table.ScanMorsels / Table.ScanColMorsels split the table into
-// segment-aligned morsels claimed lock-free by however many workers the
-// engine runs a scan with.
+// Table.ScanColMorsels splits the same snapshot into segment-aligned
+// morsels claimed lock-free by however many workers the engine runs a scan
+// with. Snapshot (Store.Relation) pivots a stable row copy: the
+// materialized reference, which fails rather than drop a segment it cannot
+// decode.
 package storage

@@ -24,13 +24,25 @@ func morselStore(t *testing.T, n int) *Table {
 	return tab
 }
 
-// TestScanMorselsPartition: concurrent workers pulling from one morsel
+// pivotMorsels serves a columnar morsel source as row morsels, each batch
+// pivoted on the claiming goroutine, so the partition tests read rows.
+type pivotMorsels struct{ schema.ColMorselSource }
+
+func (p pivotMorsels) NextMorsel() (schema.Morsel, error) {
+	m, err := p.NextColMorsel()
+	if err != nil || m.Batch == nil {
+		return schema.Morsel{Seq: m.Seq}, err
+	}
+	return schema.Morsel{Seq: m.Seq, Rows: m.Batch.Rows()}, nil
+}
+
+// TestScanColMorselsPartition: concurrent workers pulling from one morsel
 // source cover the table exactly once — every row served to exactly one
 // worker, seqs contiguous.
-func TestScanMorselsPartition(t *testing.T) {
+func TestScanColMorselsPartition(t *testing.T) {
 	const n = 1000
 	tab := morselStore(t, n)
-	src := tab.ScanMorsels(context.Background(), 64)
+	src := pivotMorsels{tab.ScanColMorsels(context.Background(), schema.ColScan{BatchSize: 64})}
 
 	var mu sync.Mutex
 	got := make(map[int64]int)
@@ -71,13 +83,13 @@ func TestScanMorselsPartition(t *testing.T) {
 	}
 }
 
-// TestScanMorselsCancellation: after ctx cancel, the shared cursor hands
+// TestScanColMorselsCancellation: after ctx cancel, the shared cursor hands
 // out no further morsels — an error is delivered exactly once and every
 // other worker observes exhaustion.
-func TestScanMorselsCancellation(t *testing.T) {
+func TestScanColMorselsCancellation(t *testing.T) {
 	tab := morselStore(t, 10_000)
 	ctx, cancel := context.WithCancel(context.Background())
-	src := tab.ScanMorsels(ctx, 256)
+	src := pivotMorsels{tab.ScanColMorsels(ctx, schema.ColScan{BatchSize: 256})}
 
 	if m, err := src.NextMorsel(); err != nil || len(m.Rows) != 256 {
 		t.Fatalf("first morsel: rows=%d err=%v", len(m.Rows), err)

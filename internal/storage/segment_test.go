@@ -99,22 +99,6 @@ func rowsIdentical(t *testing.T, label string, got, want schema.Rows) {
 	}
 }
 
-func drainRows(t *testing.T, it schema.RowIterator) schema.Rows {
-	t.Helper()
-	defer it.Close()
-	var out schema.Rows
-	for {
-		b, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			return out
-		}
-		out = append(out, b...)
-	}
-}
-
 func drainBatches(t *testing.T, it schema.ColIterator) schema.Rows {
 	t.Helper()
 	defer it.Close()
@@ -167,7 +151,7 @@ func TestSegmentedEquivalence(t *testing.T) {
 
 	// Reference: monolithic (everything in the active tail).
 	_, ref := fillTable(t, Config{SegmentRows: n + 1}, rel, rows)
-	wantAll := drainRows(t, ref.Scan(context.Background(), schema.Scan{}))
+	wantAll := drainBatches(t, ref.ScanColumns(context.Background(), schema.ColScan{}))
 	rowsIdentical(t, "reference snapshot", wantAll, rows)
 
 	preds := []schema.ColPred{
@@ -194,8 +178,12 @@ func TestSegmentedEquivalence(t *testing.T) {
 			}
 			_, tab := fillTable(t, cfg, rel, rows)
 
-			rowsIdentical(t, label("Scan"), drainRows(t, tab.Scan(context.Background(), schema.Scan{})), wantAll)
-			rowsIdentical(t, label("Snapshot"), tab.Snapshot(), wantAll)
+			rowsIdentical(t, label("ScanColumns full width"), drainBatches(t, tab.ScanColumns(context.Background(), schema.ColScan{})), wantAll)
+			snap, err := tab.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowsIdentical(t, label("Snapshot"), snap, wantAll)
 
 			got := drainBatches(t, tab.ScanColumns(context.Background(), schema.ColScan{Columns: []int{2, 0}}))
 			want := make(schema.Rows, len(rows))

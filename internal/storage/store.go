@@ -47,7 +47,7 @@ func (c Config) segRows() int {
 //
 // Each sealed segment carries a zone map (per-column min/max, null count,
 // NaN count, type census — see segment.go) consulted by every scan path:
-// a scan with a structured predicate (schema.Scan.Predicate) skips whole
+// a scan with a structured predicate (schema.ColScan.Predicate) skips whole
 // segments the zone maps prove matchless before materializing a single
 // batch. With a persistent Backend, sealed segments live on disk and are
 // decoded lazily per scan, so tables larger than RAM scan fine and a
@@ -389,54 +389,31 @@ func windowBatch(b *schema.ColBatch, lo, hi int) *schema.ColBatch {
 	return &schema.ColBatch{Rel: b.Rel, Vecs: vecs, N: hi - lo}
 }
 
-// Snapshot returns a stable row-major copy of the table (a full pivot).
-func (t *Table) Snapshot() schema.Rows {
+// Snapshot returns a stable row-major copy of the table (a full pivot). A
+// sealed segment that fails to load (a backend decode or checksum error)
+// fails the snapshot: a copy missing rows would pass for the table.
+func (t *Table) Snapshot() (schema.Rows, error) {
 	snap := t.snapshotScan(nil, nil)
 	out := make(schema.Rows, 0, snap.total)
 	for _, p := range snap.parts {
 		b, err := p.open()
 		if err != nil {
-			// Snapshot has no error surface; scans do. A backend segment
-			// that fails to decode yields its rows as absent here and the
-			// error on every scan path.
-			continue
+			return nil, err
 		}
 		out = append(out, b.Rows()...)
 	}
-	return out
+	return out, nil
 }
 
-// Scan opens an incremental batch scan over the table with the given
-// projection and predicate pushed down. Unlike Snapshot, a scan never
-// pivots the whole table: each pull windows one batch of a part's column
-// vectors and pivots it to rows. Segments whose zone maps prove the scan's
+// ScanColumns opens an incremental columnar scan serving zero-copy windows
+// of the selected columns (sc.Columns nil keeps all): no rows are built,
+// kernels consume the vectors directly. Segments whose zone maps prove the
 // structured predicate (sc.Predicate) matchless are skipped outright —
-// never opened, never decoded. When the scan has no row filter, the
-// projection is applied at the pivot, so pruned columns are never
-// materialized at all; a predicate needs the full-width row, so filtering
-// scans pivot full width and project afterwards. The scan sees the rows
-// present at open; later appends are not observed.
+// never opened, never decoded. The scan snapshots the table at open: it
+// sees the rows present then, and later appends are not observed.
 //
 // The scan is bound to ctx: cancellation is checked on every pull, so a
 // cancelled query stops reading the table within one batch.
-func (t *Table) Scan(ctx context.Context, sc schema.Scan) schema.RowIterator {
-	batch := sc.BatchSize
-	if batch <= 0 {
-		batch = schema.DefaultBatchSize
-	}
-	if sc.Filter == nil {
-		snap := t.snapshotScan(sc.Columns, sc.Predicate)
-		return schema.WithContext(ctx, &tableScan{cur: partCursor{snap: snap, batch: batch}})
-	}
-	snap := t.snapshotScan(nil, sc.Predicate)
-	return schema.FilterProject(
-		schema.WithContext(ctx, &tableScan{cur: partCursor{snap: snap, batch: batch}}), sc)
-}
-
-// ScanColumns opens a columnar scan serving zero-copy windows of the
-// selected columns (sc.Columns nil keeps all), skipping segments via
-// sc.Predicate. This is the engine's vectorized fast path: no rows are
-// built, kernels consume the vectors directly.
 func (t *Table) ScanColumns(ctx context.Context, sc schema.ColScan) schema.ColIterator {
 	batch := sc.BatchSize
 	if batch <= 0 {
@@ -500,26 +477,7 @@ func (c *partCursor) remaining() int {
 
 func (c *partCursor) close() { c.done = true }
 
-// tableScan pivots part windows to rows batch-at-a-time.
-type tableScan struct{ cur partCursor }
-
-func (s *tableScan) Next() (schema.Rows, error) {
-	b, err := s.cur.next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	return b.Rows(), nil
-}
-
-func (s *tableScan) Close() { s.cur.close() }
-
-// SizeHint reports the exact remaining row count of the snapshot. Pruned
-// segments contained no matching rows by construction, but a scan with a
-// predicate is always wrapped by its filter, whose hint is 0 — this exact
-// hint only surfaces for plain scans.
-func (s *tableScan) SizeHint() int { return s.cur.remaining() }
-
-// tableColScan is the columnar twin of tableScan: same cursor, no pivot.
+// tableColScan serves a partCursor's windows to one consumer.
 type tableColScan struct {
 	ctx context.Context
 	cur partCursor
@@ -535,19 +493,21 @@ func (s *tableColScan) NextBatch() (*schema.ColBatch, error) {
 
 func (s *tableColScan) Close() { s.cur.close() }
 
-// SizeHint is tableScan's exact remaining row count for columnar consumers
-// (a breaker pre-sizing its drain); consumers that filter must not forward it.
+// SizeHint reports the exact remaining row count of the snapshot, for a
+// breaker pre-sizing its drain; consumers that filter must not forward it.
 func (s *tableColScan) SizeHint() int { return s.cur.remaining() }
 
-// ScanMorsels opens a partitioned scan: the snapshot is split into morsels
-// (sequence-numbered row batches) handed out to however many worker
-// goroutines pull from the returned source. The cursor is one atomic
-// counter — claiming a morsel is a single fetch-and-add, so workers never
-// serialize on a lock. Morsel boundaries are segment-aligned: a morsel
-// never spans two segments, so each claim touches exactly one segment and
-// on-disk segments decode once, on the first worker to claim into them.
-// The claim index is the Seq, so numbering is contiguous by construction.
-// The row pivot runs on the claiming worker's goroutine, outside any lock.
+// ScanColMorsels opens a partitioned columnar scan: the snapshot is split
+// into morsels (sequence-numbered zero-copy windows of the selected
+// columns) handed out to however many worker goroutines pull from the
+// returned source, which run their kernels without ever building rows. The
+// cursor is one atomic counter — claiming a morsel is a single
+// fetch-and-add, so workers never serialize on a lock. Morsel boundaries
+// are segment-aligned: a morsel never spans two segments, so each claim
+// touches exactly one segment and on-disk segments decode once, on the
+// first worker to claim into them. The claim index is the Seq, so
+// numbering is contiguous by construction. Segments pruned by sc.Predicate
+// produce no morsels at all.
 //
 // The source snapshots the table at open: workers partition exactly the
 // rows present then, and stay unaffected by concurrent Append or Truncate.
@@ -559,19 +519,7 @@ func (s *tableColScan) SizeHint() int { return s.cur.remaining() }
 // in-flight claim, so order-sensitive consumers (the engine's exchange)
 // additionally bind their pipeline head to ctx, which guarantees the error
 // surfaces even if the morsel-level delivery is overtaken.
-func (t *Table) ScanMorsels(ctx context.Context, batchSize int) schema.MorselSource {
-	return &tableMorsels{cursor: t.openCursor(ctx, schema.ColScan{BatchSize: batchSize})}
-}
-
-// ScanColMorsels is the columnar twin of ScanMorsels: workers claim
-// zero-copy column windows of the selected columns and run their kernels
-// without ever building rows. Segments pruned by sc.Predicate produce no
-// morsels at all.
 func (t *Table) ScanColMorsels(ctx context.Context, sc schema.ColScan) schema.ColMorselSource {
-	return &tableColMorsels{cursor: t.openCursor(ctx, sc)}
-}
-
-func (t *Table) openCursor(ctx context.Context, sc schema.ColScan) *morselCursor {
 	batch := sc.BatchSize
 	if batch <= 0 {
 		batch = schema.DefaultBatchSize
@@ -582,13 +530,13 @@ func (t *Table) openCursor(ctx context.Context, sc schema.ColScan) *morselCursor
 	for i, p := range snap.parts {
 		c.starts[i+1] = c.starts[i] + (p.nrows+batch-1)/batch
 	}
-	return c
+	return &tableColMorsels{cursor: c}
 }
 
-// morselCursor is the shared lock-free heart of both morsel sources: a
+// morselCursor is the shared lock-free heart of the morsel source: a
 // part-list snapshot plus one atomic claim counter. claim() is wait-free;
-// everything per-morsel (opening the part, windowing, pivoting) happens on
-// the caller's goroutine. starts[i] is the first morsel seq of part i, so
+// everything per-morsel (opening the part, windowing) happens on the
+// caller's goroutine. starts[i] is the first morsel seq of part i, so
 // morsels are segment-aligned and contiguous across parts.
 type morselCursor struct {
 	ctx     context.Context
@@ -669,29 +617,6 @@ func (c *morselCursor) remaining() int {
 	}
 	return n
 }
-
-// tableMorsels serves row-major morsels: claim, window, pivot worker-side.
-type tableMorsels struct{ cursor *morselCursor }
-
-func (m *tableMorsels) NextMorsel() (schema.Morsel, error) {
-	if seq, err, done := m.cursor.cancelled(); done {
-		if err != nil {
-			return schema.Morsel{Seq: seq}, err
-		}
-		return schema.Morsel{}, nil
-	}
-	seq, part, lo, hi, ok := m.cursor.claim()
-	if !ok {
-		return schema.Morsel{}, nil
-	}
-	b, err := m.cursor.window(part, lo, hi)
-	if err != nil {
-		return schema.Morsel{Seq: seq}, err
-	}
-	return schema.Morsel{Seq: seq, Rows: b.Rows()}, nil
-}
-
-func (m *tableMorsels) Close() { m.cursor.close() }
 
 // tableColMorsels serves columnar morsels: claim and window only, no pivot.
 type tableColMorsels struct{ cursor *morselCursor }
@@ -774,7 +699,8 @@ func (t *Table) Flush() error {
 }
 
 // Store is a named collection of tables: the database d of one environment
-// node. It implements the engine's Source interface.
+// node. It implements the engine's Source, SchemaSource and ColScanner
+// interfaces.
 type Store struct {
 	mu     sync.RWMutex
 	cfg    Config
@@ -884,13 +810,18 @@ func (s *Store) Table(name string) (*Table, error) {
 }
 
 // Relation implements the engine Source: it returns schema and a row
-// snapshot for the named table.
+// snapshot for the named table (see Table.Snapshot). It is the materialized
+// reference; queries read the table through OpenColScan/OpenColMorsels.
 func (s *Store) Relation(name string) (*schema.Relation, schema.Rows, error) {
 	t, err := s.Table(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	return t.Schema(), t.Snapshot(), nil
+	rows, err := t.Snapshot()
+	if err != nil {
+		return nil, nil, err
+	}
+	return t.Schema(), rows, nil
 }
 
 // RelationStats returns the row count and serialized size of the named
@@ -907,8 +838,7 @@ func (s *Store) RelationStats(name string) (rows, wireBytes int, err error) {
 }
 
 // RelationSchema returns just the schema of the named table, without
-// touching rows. Together with OpenScan it makes the store a streaming
-// (engine.BatchSource) relation source.
+// touching rows (engine.SchemaSource).
 func (s *Store) RelationSchema(name string) (*schema.Relation, error) {
 	t, err := s.Table(name)
 	if err != nil {
@@ -917,32 +847,11 @@ func (s *Store) RelationSchema(name string) (*schema.Relation, error) {
 	return t.Schema(), nil
 }
 
-// OpenScan opens an incremental batch scan over the named table with
-// projection, predicate pushdown and zone-map segment pruning, bound to
-// ctx (see Table.Scan).
-func (s *Store) OpenScan(ctx context.Context, name string, sc schema.Scan) (schema.RowIterator, error) {
-	t, err := s.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.Scan(ctx, sc), nil
-}
-
-// OpenMorsels opens a partitioned batch scan over the named table (see
-// Table.ScanMorsels). It is the storage fast path of the engine's parallel
-// scans: morsels are locked subslices, never copies.
-func (s *Store) OpenMorsels(ctx context.Context, name string, batchSize int) (schema.MorselSource, error) {
-	t, err := s.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.ScanMorsels(ctx, batchSize), nil
-}
-
 // OpenColScan opens a columnar scan over the named table: zero-copy typed
 // column windows of the selected positions (nil cols keeps all), bound to
-// ctx, with zone-map segment pruning from sc.Predicate. It makes the store
-// an engine.ColScanner, enabling the vectorized scan path.
+// ctx, with zone-map segment pruning from sc.Predicate (see
+// Table.ScanColumns). With OpenColMorsels it makes the store an
+// engine.ColScanner, the only way queries read it.
 func (s *Store) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
 	t, err := s.Table(name)
 	if err != nil {

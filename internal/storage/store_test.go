@@ -30,7 +30,10 @@ func TestTableAppendAndSnapshot(t *testing.T) {
 	if tab.Len() != 2 {
 		t.Fatalf("len = %d", tab.Len())
 	}
-	snap := tab.Snapshot()
+	snap, err := tab.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tab.Append(schema.Row{schema.Float(5), schema.Int(6), schema.String("c")}); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,10 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				_ = tab.Append(schema.Row{schema.Float(1), schema.Int(2), schema.String("x")})
-				_ = tab.Snapshot()
+				if _, err := tab.Snapshot(); err != nil {
+					t.Error(err)
+					return
+				}
 				_ = tab.Len()
 			}
 		}()
@@ -147,7 +153,14 @@ func TestWireSize(t *testing.T) {
 
 func scanTable(t *testing.T, n int) *Table {
 	t.Helper()
-	tab := NewTable(sampleRelation())
+	return scanTableWith(t, n, Config{})
+}
+
+// scanTableWith is scanTable over a configured table: row i holds x = i,
+// n = i, s = "r".
+func scanTableWith(t *testing.T, n int, cfg Config) *Table {
+	t.Helper()
+	tab := newTableWith(sampleRelation(), cfg)
 	for i := 0; i < n; i++ {
 		if err := tab.Append(schema.Row{
 			schema.Float(float64(i)), schema.Int(int64(i)), schema.String("r"),
@@ -158,9 +171,26 @@ func scanTable(t *testing.T, n int) *Table {
 	return tab
 }
 
+// pivotIter reads a columnar scan the way the row tests want it: each pull
+// pivots one batch to rows.
+type pivotIter struct{ schema.ColIterator }
+
+func (p pivotIter) Next() (schema.Rows, error) {
+	cb, err := p.NextBatch()
+	if err != nil || cb == nil {
+		return nil, err
+	}
+	return cb.Rows(), nil
+}
+
+// pivotScan opens tab.ScanColumns as a row iterator.
+func pivotScan(ctx context.Context, tab *Table, sc schema.ColScan) schema.RowIterator {
+	return pivotIter{tab.ScanColumns(ctx, sc)}
+}
+
 func TestTableScanBatches(t *testing.T) {
 	tab := scanTable(t, 10)
-	it := tab.Scan(context.Background(), schema.Scan{BatchSize: 4})
+	it := pivotScan(context.Background(), tab, schema.ColScan{BatchSize: 4})
 	var sizes []int
 	total := 0
 	for {
@@ -179,11 +209,15 @@ func TestTableScanBatches(t *testing.T) {
 	}
 }
 
+// TestTableScanFilterAndProjection: a scan's structured predicate skips the
+// segments whose zone maps prove it false, and its projection keeps only the
+// requested column. x ascends, so x < 10 admits the first 10-row segment
+// alone.
 func TestTableScanFilterAndProjection(t *testing.T) {
-	tab := scanTable(t, 100)
-	it := tab.Scan(context.Background(), schema.Scan{
+	tab := scanTableWith(t, 100, Config{SegmentRows: 10})
+	it := pivotScan(context.Background(), tab, schema.ColScan{
 		Columns:   []int{1},
-		Filter:    func(r schema.Row) (bool, error) { return r[0].AsFloat() < 10, nil },
+		Predicate: []schema.ColPred{{Col: 0, RCol: -1, Op: schema.PredLt, Lit: schema.Float(10)}},
 		BatchSize: 7,
 	})
 	rows, err := schema.DrainIterator(it)
@@ -205,7 +239,7 @@ func TestTableScanFilterAndProjection(t *testing.T) {
 
 func TestTableScanStopsEarly(t *testing.T) {
 	tab := scanTable(t, 1000)
-	it := tab.Scan(context.Background(), schema.Scan{BatchSize: 16})
+	it := pivotScan(context.Background(), tab, schema.ColScan{BatchSize: 16})
 	b, err := it.Next()
 	if err != nil || len(b) != 16 {
 		t.Fatalf("first batch: %d rows, err %v", len(b), err)
@@ -218,21 +252,30 @@ func TestTableScanStopsEarly(t *testing.T) {
 
 func TestTableScanSeesConcurrentAppendsSafely(t *testing.T) {
 	tab := scanTable(t, 50)
-	it := tab.Scan(context.Background(), schema.Scan{BatchSize: 8})
-	first, err := it.Next()
+	it := tab.ScanColumns(context.Background(), schema.ColScan{BatchSize: 8})
+	first, err := it.NextBatch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := first[0][0].AsFloat()
-	// Appends (and even a truncate) must not corrupt already-returned rows.
+	want := first.Rows()
+	// Appends (and even a truncate) must not corrupt an already-returned
+	// batch: its vectors are windows over storage.
 	_ = tab.Append(schema.Row{schema.Float(999), schema.Int(999), schema.String("late")})
 	tab.Truncate()
-	if first[0][0].AsFloat() != want {
-		t.Fatal("returned batch corrupted by concurrent mutation")
+	got := first.Rows()
+	if len(got) != len(want) {
+		t.Fatalf("returned batch changed length: %d -> %d", len(want), len(got))
+	}
+	for i := range want {
+		for c := range want[i] {
+			if !got[i][c].Identical(want[i][c]) {
+				t.Fatalf("returned batch corrupted by concurrent mutation at row %d col %d", i, c)
+			}
+		}
 	}
 	// The scan terminates cleanly against the truncated table.
 	for {
-		b, err := it.Next()
+		b, err := it.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +295,7 @@ func TestScanHonoursContext(t *testing.T) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	it := tab.Scan(ctx, schema.Scan{})
+	it := pivotScan(ctx, tab, schema.ColScan{})
 	defer it.Close()
 
 	b, err := it.Next()
@@ -273,7 +316,7 @@ func TestScanCloseIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it := tab.Scan(context.Background(), schema.Scan{})
+	it := pivotScan(context.Background(), tab, schema.ColScan{})
 	it.Close()
 	it.Close()
 	if b, err := it.Next(); b != nil || err != nil {
@@ -297,8 +340,8 @@ func TestSchemaEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab.Truncate()
-	it := tab.Scan(context.Background(), schema.Scan{})
-	if _, err := it.Next(); err != nil {
+	it := tab.ScanColumns(context.Background(), schema.ColScan{})
+	if _, err := it.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 	it.Close()

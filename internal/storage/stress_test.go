@@ -8,61 +8,11 @@ import (
 	"paradise/internal/schema"
 )
 
-// The morsel sources are single atomic cursors claimed by many goroutines;
-// these stress tests hammer them under the race detector (CI runs the suite
+// The morsel source is a single atomic cursor claimed by many goroutines;
+// these stress tests hammer it under the race detector (CI runs the suite
 // with -race -cpu 1,4) with more workers than morsels-per-claim, and verify
 // the only property the exchange depends on: every row is claimed exactly
 // once, with contiguous Seq numbering and no torn batches.
-
-func TestScanMorselsStress(t *testing.T) {
-	const (
-		n       = 50_000
-		workers = 8
-		batch   = 37 // deliberately not a divisor of n: last morsel is ragged
-	)
-	tab := morselStore(t, n)
-	src := tab.ScanMorsels(context.Background(), batch)
-	defer src.Close()
-
-	var mu sync.Mutex
-	claimed := make([]int, n) // row value -> times served
-	seqs := make(map[int]int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				m, err := src.NextMorsel()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if m.Rows == nil {
-					return
-				}
-				mu.Lock()
-				seqs[m.Seq]++
-				for _, r := range m.Rows {
-					claimed[r[0].AsInt()]++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	for v, c := range claimed {
-		if c != 1 {
-			t.Fatalf("row %d served %d times, want exactly once", v, c)
-		}
-	}
-	for s := 0; s < len(seqs); s++ {
-		if seqs[s] != 1 {
-			t.Fatalf("seq %d served %d times (want contiguous, exactly-once numbering)", s, seqs[s])
-		}
-	}
-}
 
 func TestScanColMorselsStress(t *testing.T) {
 	const (
