@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"paradise/internal/plan"
@@ -261,6 +262,46 @@ func TestVectorizedMatchesRowPathParallel(t *testing.T) {
 	st := vecStore(t, false)
 	for _, q := range equivalenceQueries {
 		checkEquivalenceEngine(t, New(st).WithParallelism(4), st, q)
+	}
+}
+
+// relationCounter is a store that counts calls of Relation, the
+// materialized reference: queries must read a store through its columnar
+// faces and name schemas through RelationSchema, never through Relation.
+type relationCounter struct {
+	*storage.Store
+	calls atomic.Int64
+}
+
+func (r *relationCounter) Relation(name string) (*schema.Relation, schema.Rows, error) {
+	r.calls.Add(1)
+	return r.Store.Relation(name)
+}
+
+// TestStoreQueriesNeverMaterialize runs both equivalence corpora — scans,
+// filters, joins of every shape, breakers, nested blocks, error cases —
+// over a Relation-counting store at one and four workers: not one query
+// may fall back to materializing a table.
+func TestStoreQueriesNeverMaterialize(t *testing.T) {
+	corpora := []struct {
+		st      *storage.Store
+		queries []string
+	}{
+		{vecStore(t, false), equivalenceQueries},
+		{benchStore(t, 2_000), parallelCorpus},
+	}
+	for _, c := range corpora {
+		src := &relationCounter{Store: c.st}
+		for _, workers := range []int{1, 4} {
+			for _, q := range c.queries {
+				// Error cases stay in the corpus: failing must not
+				// materialize either.
+				_, _ = New(src).WithParallelism(workers).Query(context.Background(), q)
+				if n := src.calls.Load(); n != 0 {
+					t.Fatalf("%q at %d workers: %d Relation calls, want 0", q, workers, n)
+				}
+			}
+		}
 	}
 }
 

@@ -7,17 +7,19 @@ import (
 	"paradise/internal/schema"
 )
 
-// This file is the columnar half of a stage boundary: how a stage whose
-// block compiled to kernels only (engine.OpenStage returned a
-// schema.ColIterator) hands its output to the next stage as column batches,
-// so that stage's filter kernels, vectorized GROUP BY/DISTINCT and join
-// probe run on the upstream vectors and nothing is pivoted in between.
-// Everything a stage boundary promises — drain-on-close, error attribution,
-// the one-shot rule, exact row/byte accounting — is stageIter's and
-// stageSource's (execute.go) and is shared with the row face; this file only
-// adds the second representation. Nothing here may pivot a batch to rows:
-// the one pivot of a chain is the engine's, paid by whoever finally wants
-// rows (scripts/vecguard.sh checks this file like the kernels).
+// This file is the columnar half of a stage boundary: how a stage hands its
+// output to the next stage as column batches when the chain's base is
+// columnar. A stage whose block compiled to kernels only (engine.OpenStage
+// returned a schema.ColIterator) hands on its own vectors, so the next
+// stage's filter kernels, vectorized GROUP BY/DISTINCT and join probe run
+// on them and nothing is pivoted in between; a stage that ships rows has
+// each batch built into vectors once, at the boundary. Everything a stage
+// boundary promises — drain-on-close, error attribution, the one-shot rule,
+// exact row/byte accounting — is stageIter's and stageSource's (execute.go)
+// and is shared with the row face; this file only adds the second
+// representation. Nothing here may pivot a batch to rows: the one pivot of
+// a chain is the engine's, paid by whoever finally wants rows
+// (scripts/vecguard.sh checks this file like the kernels).
 //
 // Ownership of a batch that crosses: the vectors are read-only windows over
 // storage (or over whatever the first stage scanned), the header and Sel
@@ -26,11 +28,19 @@ import (
 
 // nextBatch is the stage's columnar face: the next batch of the stage's
 // output, accounted by ColBatch.WireSize — byte for byte what its rows
-// would have weighed. Only valid on a stage with col set, and deliberately
-// not an exported NextBatch: a stageIter can itself be the next stage's
-// pipeline (an identity scan returns it as is), and must not look like a
-// schema.ColIterator there unless it is one.
+// would have weighed. A stage without col builds the batch from its next
+// rows, accounted once, by Next. Deliberately not an exported NextBatch: a
+// stageIter can itself be the next stage's pipeline (an identity scan
+// returns it as is), and must not look like a schema.ColIterator there
+// unless its block is one.
 func (s *stageIter) nextBatch() (*schema.ColBatch, error) {
+	if s.col == nil {
+		rows, err := s.Next()
+		if err != nil || rows == nil {
+			return nil, err
+		}
+		return schema.BatchFromRows(s.rel, rows), nil
+	}
 	cb, err := s.col.NextBatch()
 	if err != nil {
 		return nil, wrapStage(s.f, err)
@@ -64,7 +74,7 @@ func (s *stageIter) sizeHint() int {
 	return 0
 }
 
-// colStageSource is a stageSource over a columnar stage: it additionally
+// colStageSource is a stageSource over a columnar base: it additionally
 // implements engine.ColScanner, which is what makes the next stage's engine
 // choose its kernels. Base relations resolve on the (columnar) base source.
 type colStageSource struct {

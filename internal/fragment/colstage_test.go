@@ -3,15 +3,20 @@ package fragment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"paradise/internal/engine"
+	logical "paradise/internal/plan"
 	"paradise/internal/schema"
+	"paradise/internal/sqlparser"
 	"paradise/internal/storage"
 )
 
@@ -431,5 +436,110 @@ func TestOneWorkerChainStartsNoGoroutine(t *testing.T) {
 	}
 	if deepest < 3 {
 		t.Fatalf("deepest chain of the corpus has %d stages, want at least 3", deepest)
+	}
+}
+
+// chainPlan builds a fragment plan stage by stage, for chain shapes the
+// fragmenter does not produce: stage i reads its predecessor as d<i-1> and
+// is visible to the next stage as d<i>. root is the monolithic statement
+// the chain computes.
+func chainPlan(t *testing.T, root string, stages ...string) *Plan {
+	t.Helper()
+	lower := func(q string) (*sqlparser.Select, logical.Node) {
+		sel, err := sqlparser.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := logical.FromAST(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel, n
+	}
+	p := &Plan{}
+	p.Original, p.Root = lower(root)
+	for i, q := range stages {
+		f := &Fragment{Stage: i + 1, MinLevel: LevelAppliance, Output: fmt.Sprintf("d%d", i+1), Description: "stage"}
+		f.Query, f.Root = lower(q)
+		if i > 0 {
+			f.Input = p.Fragments[i-1].Output
+		}
+		p.Fragments = append(p.Fragments, f)
+	}
+	return p
+}
+
+// colOpenRecorder records every relation a chain opens as column batches.
+type colOpenRecorder struct {
+	*storage.Store
+	mu     sync.Mutex
+	tables []string
+}
+
+func (r *colOpenRecorder) record(name string) {
+	r.mu.Lock()
+	r.tables = append(r.tables, name)
+	r.mu.Unlock()
+}
+
+func (r *colOpenRecorder) OpenColScan(ctx context.Context, name string, sc schema.ColScan) (schema.ColIterator, error) {
+	r.record(name)
+	return r.Store.OpenColScan(ctx, name, sc)
+}
+
+func (r *colOpenRecorder) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
+	r.record(name)
+	return r.Store.OpenColMorsels(ctx, name, sc)
+}
+
+// TestRowStageFeedsColumnarJoin: over a columnar base, a stage that ships
+// rows (a GROUP BY) still reaches the next stage as column batches, so a
+// join of its output with a base table runs on kernels, and that base
+// table is read columnar — never through a row scan. Rows, order and the
+// per-stage accounting equal the row-only chain's at every worker count.
+func TestRowStageFeedsColumnarJoin(t *testing.T) {
+	big := propertyStore(t, rand.New(rand.NewSource(11)), 1500)
+	meta := big.Create(schema.NewRelation("meta",
+		schema.Col("x", schema.TypeFloat),
+		schema.Col("label", schema.TypeString),
+	))
+	for i := 0; i < 40; i += 3 { // every third x: the join drops the rest
+		if err := meta.Append(schema.Row{schema.Float(float64(i) / 10), schema.String(fmt.Sprintf("m%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := chainPlan(t,
+		"SELECT s.t, s.za, meta.label FROM (SELECT x, t, AVG(z) AS za FROM (SELECT * FROM d WHERE z < 3) AS d1 GROUP BY x, t) AS s JOIN meta ON s.x = meta.x",
+		"SELECT * FROM d WHERE z < 3",
+		"SELECT x, t, AVG(z) AS za FROM d1 GROUP BY x, t",
+		"SELECT d2.t, d2.za, meta.label FROM d2 JOIN meta ON d2.x = meta.x",
+	)
+	for name, st := range map[string]*storage.Store{"small": testStore(t), "big": big} {
+		for _, workers := range []int{1, 2, 4} {
+			label := fmt.Sprintf("%s at %d workers", name, workers)
+			src := &colOpenRecorder{Store: st}
+			col, err := Execute(context.Background(), p, src, WithParallelism(workers))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			row, err := Execute(context.Background(), p, rowOnly{st}, WithParallelism(workers))
+			if err != nil {
+				t.Fatalf("%s: row chain: %v", label, err)
+			}
+			if len(col.Result.Rows) == 0 || !reflect.DeepEqual(col.Result.Rows, row.Result.Rows) {
+				t.Fatalf("%s: %d rows over the columnar base, %d over rows, want equal and non-empty",
+					label, len(col.Result.Rows), len(row.Result.Rows))
+			}
+			requireSameStages(t, label, col.Stages, row.Stages)
+			if got := col.Stages[1].Path(); got != "rows: "+engine.DeclineBreaker {
+				t.Fatalf("%s: stage 2 shipped %s, want rows: %s", label, got, engine.DeclineBreaker)
+			}
+			if s := col.Stages[2]; s.Declined == engine.DeclineRowSource {
+				t.Fatalf("%s: stage 3 read stage 2's rows as a row-only source (%s)", label, s.Path())
+			}
+			if !slices.Contains(src.tables, "meta") {
+				t.Fatalf("%s: stage 3 did not open meta as column batches (opened %v)", label, src.tables)
+			}
+		}
 	}
 }

@@ -70,15 +70,17 @@ func wrapStage(f *Fragment, err error) error {
 // per-stage stats match the fully materialized baseline exactly even when a
 // later stage stops early (LIMIT).
 //
-// A stage whose block compiled to kernels only also serves column batches
-// (col, the same pipeline as src; nextBatch in colstage.go). Both faces
-// advance one stream and feed one pair of counters, and a batch's wire size
-// is its rows' by construction, so which face a consumer pulls never shows
-// in the accounting.
+// Every stage also serves column batches (nextBatch in colstage.go): a
+// stage whose block compiled to kernels only hands on its pipeline's own
+// (col, the same pipeline as src), any other stage's rows are built into
+// batches of rel. Both faces advance one stream and feed one pair of
+// counters, and a batch's wire size is its rows' by construction, so which
+// face a consumer pulls never shows in the accounting.
 type stageIter struct {
 	src     schema.RowIterator
 	col     schema.ColIterator // src's columnar face; nil when the block declined
 	decline string             // why col is nil (engine.Decline*)
+	rel     *schema.Relation   // the stage's output schema
 	f       *Fragment
 	rows    int
 	bytes   int
@@ -130,7 +132,9 @@ func (s *stageIter) skip() (more bool, err error) {
 // stageSource exposes the previous stage's output iterator under its
 // relation name, falling back to the base source for any base relation a
 // join references. The stage output is one-shot: fragment plans read each
-// intermediate exactly once.
+// intermediate exactly once. Over a columnar base every stage is read
+// through colStageSource instead; this row face serves non-columnar bases
+// only.
 type stageSource struct {
 	base     engine.Source
 	name     string
@@ -245,14 +249,15 @@ func OpenChain(ctx context.Context, plan *Plan, base engine.Source, opts ...Opti
 			return nil, wrapStage(f, err)
 		}
 		rel = stageRel.Clone(f.Output)
-		st := &stageIter{src: it, f: f, decline: decline}
+		st := &stageIter{src: it, f: f, decline: decline, rel: rel}
 		st.col, _ = it.(schema.ColIterator)
 		stages = append(stages, st)
 		out := &stageSource{base: base, name: f.Output, rel: rel, it: st}
 		src = out
-		// A columnar stage implies a columnar base (its own first scan ran
-		// on one), so the next stage's kernels can run on both.
-		if cbase, ok := base.(engine.ColScanner); ok && st.col != nil {
+		// Over a columnar base the next stage reads everything as column
+		// batches — this stage's output, whatever it shipped, and every
+		// base relation it joins — so its scans always compile to kernels.
+		if cbase, ok := base.(engine.ColScanner); ok {
 			src = &colStageSource{stageSource: out, cbase: cbase}
 		}
 	}

@@ -197,3 +197,77 @@ func TestChainAllocationBudget(t *testing.T) {
 			chain, float64(chain)/float64(direct), direct, budget)
 	}
 }
+
+// TestStreamNeverMaterializesBase: 3-stage chains opened with Open — two
+// the fragmenter builds, and one whose third stage joins a row-shipping
+// GROUP BY stage with a base table — read the store through its columnar
+// faces and size it through RelationStats, at one and four workers: not
+// one Relation call.
+func TestStreamNeverMaterializesBase(t *testing.T) {
+	st := testStore(t, 1500)
+	meta := st.Create(schema.NewRelation("meta",
+		schema.Col("x", schema.TypeFloat),
+		schema.Col("label", schema.TypeString),
+	))
+	for x := 1; x <= 17; x += 2 {
+		if err := meta.Append(schema.Row{schema.Float(float64(x)), schema.String(fmt.Sprintf("m%d", x))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	joined := &fragment.Plan{}
+	for i, q := range []string{
+		"SELECT s.t, s.za, meta.label FROM (SELECT x, t, AVG(z) AS za FROM (SELECT * FROM d WHERE z < 2) AS d1 GROUP BY x, t) AS s JOIN meta ON s.x = meta.x",
+		"SELECT * FROM d WHERE z < 2",
+		"SELECT x, t, AVG(z) AS za FROM d1 GROUP BY x, t",
+		"SELECT d2.t, d2.za, meta.label FROM d2 JOIN meta ON d2.x = meta.x",
+	} {
+		sel, err := sqlparser.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := logical.FromAST(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			joined.Original, joined.Root = sel, root
+			continue
+		}
+		f := &fragment.Fragment{Stage: i, MinLevel: fragment.LevelAppliance, Root: root, Query: sel,
+			Output: fmt.Sprintf("d%d", i), Description: "stage"}
+		if i > 1 {
+			f.Input = joined.Fragments[i-2].Output
+		}
+		joined.Fragments = append(joined.Fragments, f)
+	}
+	plans := []*fragment.Plan{
+		mustPlan(t, "SELECT x, y, AVG(z) AS zavg FROM d WHERE x > y AND z < 2 GROUP BY x, y HAVING SUM(z) > 1"),
+		mustPlan(t, "SELECT regr_intercept(y, x) OVER (PARTITION BY z ORDER BY t) FROM (SELECT x, y, z, t FROM d)"),
+		joined,
+	}
+	src := &relationCounter{Store: st}
+	for _, plan := range plans {
+		if len(plan.Fragments) != 3 {
+			t.Fatalf("%s: %d stages, want 3", plan.Original.SQL(), len(plan.Fragments))
+		}
+		for _, workers := range []int{1, 4} {
+			stream, err := Open(context.Background(), DefaultApartment(), plan, src, WithParallelism(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := schema.DrainIterator(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := stream.Stats(); err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) == 0 {
+				t.Fatalf("%s: empty result", plan.Original.SQL())
+			}
+			if n := src.calls.Load(); n != 0 {
+				t.Fatalf("%s at %d workers: %d Relation calls, want 0", plan.Original.SQL(), workers, n)
+			}
+		}
+	}
+}

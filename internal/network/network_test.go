@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"paradise/internal/fragment"
@@ -243,11 +244,11 @@ func TestRunNaiveShipsEverything(t *testing.T) {
 // every row of a table.
 type relationCounter struct {
 	*storage.Store
-	calls int
+	calls atomic.Int64
 }
 
 func (r *relationCounter) Relation(name string) (*schema.Relation, schema.Rows, error) {
-	r.calls++
+	r.calls.Add(1)
 	return r.Store.Relation(name)
 }
 
@@ -269,8 +270,8 @@ func TestRunNaiveSizesWithBaseStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.calls != 0 {
-		t.Fatalf("RunNaive called Relation %d times", src.calls)
+	if n := src.calls.Load(); n != 0 {
+		t.Fatalf("RunNaive called Relation %d times", n)
 	}
 	frag, err := Run(context.Background(), DefaultApartment(), mustPlan(t, q), src)
 	if err != nil {

@@ -14,8 +14,8 @@
 // [Filter*] over a source), with SplitBlock/Rebuild as exact inverses and
 // Requirements as the single column-requirement analysis. The optimizer,
 // the engine and the fragmenter all consume Block, so the block-shape and
-// column-requirement rules have exactly one implementation (enforced in CI
-// by scripts/blockguard.sh and the golden plan snapshots in testdata/).
+// column-requirement rules have exactly one implementation (the golden plan
+// snapshots in testdata/ pin the optimized tree shapes).
 //
 // Scalar expressions inside plan nodes reuse the sqlparser expression
 // vocabulary (ColumnRef, BinaryExpr, FuncCall, ...): the expression language

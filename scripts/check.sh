@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh — the one gate. Everything CI requires of a change, runnable
-# locally: formatting, vet, build, the structural guards, both full test
+# locally: formatting, vet, build, the vectorization guard, both full test
 # runs, the serving smoke test and the bench/ module's own checks.
 set -eu
 cd "$(dirname "$0")/.."
@@ -27,8 +27,7 @@ fi
 step "docs lint"
 sh scripts/docslint.sh
 
-step "structural guards"
-sh scripts/blockguard.sh
+step "structural guard"
 sh scripts/vecguard.sh
 
 # The golden plan snapshots (internal/plan/testdata) run as part of go

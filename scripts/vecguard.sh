@@ -19,7 +19,9 @@
 # about to discard.
 # internal/fragment/colstage.go is the columnar branch of a fragment stage
 # boundary (stageIter.nextBatch, colStageSource): batches are accounted by
-# ColBatch.WireSize and handed to the next stage's kernels as they are.
+# ColBatch.WireSize and handed to the next stage's kernels as they are; a
+# stage that ships rows has them built into vectors (schema.BatchFromRows)
+# once, rows to columns, never the other way.
 # server/ndjson.go appends NDJSON row lines; its batch entry point
 # (appendBatchRow, appendCell) reads the typed vectors of the final stage's
 # batches, so a columnar result reaches the socket without ever being rows
