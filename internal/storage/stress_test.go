@@ -14,6 +14,58 @@ import (
 // the only property the exchange depends on: every row is claimed exactly
 // once, with contiguous Seq numbering and no torn batches.
 
+// TestScanMorselsStress claims row morsels, each batch pivoted on the
+// claiming goroutine, so the pivot runs concurrently with the cursor.
+func TestScanMorselsStress(t *testing.T) {
+	const (
+		n       = 50_000
+		workers = 8
+		batch   = 37 // deliberately not a divisor of n: last morsel is ragged
+	)
+	tab := morselStore(t, n)
+	src := pivotMorsels{tab.ScanColMorsels(context.Background(), schema.ColScan{BatchSize: batch})}
+	defer src.Close()
+
+	var mu sync.Mutex
+	claimed := make([]int, n) // row value -> times served
+	seqs := make(map[int]int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				m, err := src.NextMorsel()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if m.Rows == nil {
+					return
+				}
+				mu.Lock()
+				seqs[m.Seq]++
+				for _, r := range m.Rows {
+					claimed[r[0].AsInt()]++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	for v, c := range claimed {
+		if c != 1 {
+			t.Fatalf("row %d served %d times, want exactly once", v, c)
+		}
+	}
+	for s := 0; s < len(seqs); s++ {
+		if seqs[s] != 1 {
+			t.Fatalf("seq %d served %d times (want contiguous, exactly-once numbering)", s, seqs[s])
+		}
+	}
+}
+
 func TestScanColMorselsStress(t *testing.T) {
 	const (
 		n       = 50_000
