@@ -261,15 +261,20 @@ func (e *Engine) openSegment(ctx context.Context, src plan.Node, blk *plan.Block
 			return nil, err
 		}
 	}
-	return filterSeg(seg, blk), nil
+	return filterSeg(seg, blk)
 }
 
-// filterSeg appends the block's residual filters to a segment as stages.
-func filterSeg(seg *parSeg, blk *plan.Block) *parSeg {
+// filterSeg appends the block's residual filters to a segment as stages. A
+// filter naming a column the segment lacks fails here, at compile, like a
+// scan filter does — not on the first row that reaches it, which an empty
+// input never produces. The segment is released on that error.
+func filterSeg(seg *parSeg, blk *plan.Block) (*parSeg, error) {
 	for _, c := range blk.FilterConds() {
-		seg.mk = append(seg.mk, filterStage(seg.b, c))
+		if err := seg.addFilter(c); err != nil {
+			return nil, err
+		}
 	}
-	return seg
+	return seg, nil
 }
 
 // openJoinBlock compiles a block that reads a join. A join that vectorizes
@@ -296,7 +301,10 @@ func (e *Engine) openJoinBlock(ctx context.Context, j *plan.Join, blk *plan.Bloc
 			return nil, nil, nil, "", err
 		}
 	}
-	return nil, nil, filterSeg(seg, blk), why, nil
+	if seg, err = filterSeg(seg, blk); err != nil {
+		return nil, nil, nil, "", err
+	}
+	return nil, nil, seg, why, nil
 }
 
 // openSubBlock compiles a nested block (which picks its own worker count)
@@ -634,7 +642,9 @@ func (e *Engine) openJoinSide(ctx context.Context, n plan.Node, workers int) (*p
 		if err != nil {
 			return nil, err
 		}
-		seg.mk = append(seg.mk, filterStage(seg.b, x.Cond))
+		if err := seg.addFilter(x.Cond); err != nil {
+			return nil, err
+		}
 		return seg, nil
 	default:
 		return e.openSubBlock(ctx, n, workers)

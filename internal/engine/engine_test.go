@@ -649,14 +649,24 @@ func TestSensitivePropagation(t *testing.T) {
 // TestUnknownFilterColumnFailsWhateverTheData: a filter naming a column the
 // table lacks fails at compile with the resolution error, whether the table
 // is empty, a kernel prefix rejects every row before the unknown column
-// would be read, or rows reach it — at every worker count, grouped or not.
+// would be read, or rows reach it — at every worker count, grouped or not,
+// and whether the filter sits in a scan, above a join or above a derived
+// table.
 func TestUnknownFilterColumnFailsWhateverTheData(t *testing.T) {
-	const want = `schema: unknown column: "nosuch" not found in (e.a, e.b)`
+	const (
+		inScan    = `schema: unknown column: "nosuch" not found in (e.a, e.b)`
+		inJoin    = `schema: unknown column: "nosuch" not found in (e.a, e.b, f.k)`
+		inDerived = `schema: unknown column: "nosuch" not found in (s)`
+	)
 	store := func(rows int) *storage.Store {
 		st := storage.NewStore()
 		e := st.Create(schema.NewRelation("e", schema.Col("a", schema.TypeInt), schema.Col("b", schema.TypeString)))
+		f := st.Create(schema.NewRelation("f", schema.Col("k", schema.TypeInt)))
 		for i := 1; i <= rows; i++ {
 			if err := e.Append(schema.Row{schema.Int(int64(i)), schema.String("v")}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Append(schema.Row{schema.Int(int64(i))}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -666,22 +676,27 @@ func TestUnknownFilterColumnFailsWhateverTheData(t *testing.T) {
 		name string
 		rows int
 		sql  string
+		want string
 	}{
-		{"empty", 0, "SELECT a FROM e WHERE nosuch > 1"},
-		{"all filtered", 3, "SELECT a FROM e WHERE a > 100 AND nosuch > 1"},
-		{"non-empty", 3, "SELECT a FROM e WHERE nosuch > 1"},
-		{"grouped, empty", 0, "SELECT a, COUNT(*) AS n FROM e WHERE nosuch > 1 GROUP BY a"},
-		{"grouped, all filtered", 3, "SELECT a, COUNT(*) AS n FROM e WHERE a > 100 AND nosuch > 1 GROUP BY a"},
+		{"empty", 0, "SELECT a FROM e WHERE nosuch > 1", inScan},
+		{"all filtered", 3, "SELECT a FROM e WHERE a > 100 AND nosuch > 1", inScan},
+		{"non-empty", 3, "SELECT a FROM e WHERE nosuch > 1", inScan},
+		{"grouped, empty", 0, "SELECT a, COUNT(*) AS n FROM e WHERE nosuch > 1 GROUP BY a", inScan},
+		{"grouped, all filtered", 3, "SELECT a, COUNT(*) AS n FROM e WHERE a > 100 AND nosuch > 1 GROUP BY a", inScan},
+		{"join, empty", 0, "SELECT e.a FROM e JOIN f ON e.a = f.k WHERE nosuch > 1", inJoin},
+		{"join, non-empty", 3, "SELECT e.a FROM e JOIN f ON e.a = f.k WHERE nosuch > 1", inJoin},
+		{"derived, empty", 0, "SELECT s FROM (SELECT a AS s FROM e) WHERE nosuch > 1", inDerived},
+		{"derived, non-empty", 3, "SELECT s FROM (SELECT a AS s FROM e) WHERE nosuch > 1", inDerived},
 	}
 	for _, c := range cases {
 		st := store(c.rows)
 		for _, workers := range []int{1, 4} {
 			res, err := New(st).WithParallelism(workers).Query(context.Background(), c.sql)
 			if err == nil {
-				t.Fatalf("%s at %d workers: %d rows and no error, want %q", c.name, workers, len(res.Rows), want)
+				t.Fatalf("%s at %d workers: %d rows and no error, want %q", c.name, workers, len(res.Rows), c.want)
 			}
-			if err.Error() != want {
-				t.Fatalf("%s at %d workers: error %q, want %q", c.name, workers, err, want)
+			if err.Error() != c.want {
+				t.Fatalf("%s at %d workers: error %q, want %q", c.name, workers, err, c.want)
 			}
 		}
 	}

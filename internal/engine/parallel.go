@@ -580,6 +580,21 @@ func scanStage(full *binding, conds []sqlparser.Expr, cols []int) stageFactory {
 	}
 }
 
+// addFilter appends a filter stage for cond after resolving every column
+// it names against the segment's binding, so an unknown or ambiguous
+// column fails the compile whatever the data. On that error the segment is
+// closed.
+func (s *parSeg) addFilter(cond sqlparser.Expr) error {
+	for _, c := range sqlparser.ColumnRefs(cond) {
+		if _, err := s.b.resolve(c); err != nil {
+			s.close()
+			return err
+		}
+	}
+	s.mk = append(s.mk, filterStage(s.b, cond))
+	return nil
+}
+
 // filterStage drops rows failing a residual condition (filters above a
 // join or derived table, which cannot be pushed into a scan).
 func filterStage(b *binding, cond sqlparser.Expr) stageFactory {

@@ -67,19 +67,17 @@ func (c *Chain) NextBatch() (*schema.ColBatch, error) {
 
 // sizeHint is the stage's remaining row count when its pipeline knows it (an
 // unfiltered scan), for a breaker in the next stage pre-sizing its drain.
-func (s *stageIter) sizeHint() int {
-	if h, ok := s.col.(schema.SizeHinter); ok {
-		return h.SizeHint()
-	}
-	return 0
-}
+func (s *stageIter) sizeHint() int { return sizeHint(s.col) }
 
 // colStageSource is a stageSource over a columnar base: it additionally
 // implements engine.ColScanner, which is what makes the next stage's engine
 // choose its kernels. Base relations resolve on the (columnar) base source.
+// With view set the stage output is a view of the base table (view.go),
+// opened with the consumer's own columns and batch size.
 type colStageSource struct {
 	*stageSource
 	cbase engine.ColScanner
+	view  *viewStage
 }
 
 // OpenColScan serves the stage output as column batches. Columns is honoured
@@ -90,6 +88,12 @@ func (s *colStageSource) OpenColScan(ctx context.Context, name string, sc schema
 	if name != s.name {
 		return s.cbase.OpenColScan(ctx, name, sc)
 	}
+	if s.view != nil {
+		if err := s.claim(); err != nil {
+			return nil, err
+		}
+		return s.view.scan(sc)
+	}
 	it, err := s.take()
 	if err != nil {
 		return nil, err
@@ -99,10 +103,17 @@ func (s *colStageSource) OpenColScan(ctx context.Context, name string, sc schema
 
 // OpenColMorsels serves the stage output to concurrent workers: pulls (and
 // with them the stage's accounting and everything upstream) serialize behind
-// one lock, the claiming workers' kernels run outside it.
+// one lock, the claiming workers' kernels run outside it. A view needs no
+// lock: its workers claim storage's morsels and decode them themselves.
 func (s *colStageSource) OpenColMorsels(ctx context.Context, name string, sc schema.ColScan) (schema.ColMorselSource, error) {
 	if name != s.name {
 		return s.cbase.OpenColMorsels(ctx, name, sc)
+	}
+	if s.view != nil {
+		if err := s.claim(); err != nil {
+			return nil, err
+		}
+		return s.view.morsels(sc)
 	}
 	ci, err := s.OpenColScan(ctx, name, sc)
 	if err != nil {

@@ -26,7 +26,11 @@
 // the upstream vectors and only the stage that finally needs rows pivots;
 // any other stage ships rows. A batch weighs exactly what its rows weigh
 // (ColBatch.WireSize), so the representation never shows in the
-// accounting; StageResult records which one a stage used, and why.
+// accounting; StageResult records which one a stage used, and why. A
+// sensor stage that is SELECT * without a predicate is not run at all when
+// a later stage reads it (view.go): the next stage scans the base table
+// with its own columns, and the stage is accounted from that scan's
+// snapshot and verified on Close.
 // WithParallelism lets each stage's engine pipeline run morsel-parallel
 // where no whole-block kernel took the stage; batch sums are
 // order-independent, so the accounting stays bit-identical to serial

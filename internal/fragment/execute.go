@@ -143,11 +143,23 @@ type stageSource struct {
 	consumed bool
 }
 
-func (s *stageSource) take() (*stageIter, error) {
+// claim enforces the one-shot rule on every entry point.
+func (s *stageSource) claim() error {
 	if s.consumed {
-		return nil, fmt.Errorf("%w: stage output %q read twice", ErrFragment, s.name)
+		return fmt.Errorf("%w: stage output %q read twice", ErrFragment, s.name)
 	}
 	s.consumed = true
+	return nil
+}
+
+func (s *stageSource) take() (*stageIter, error) {
+	if err := s.claim(); err != nil {
+		return nil, err
+	}
+	if s.it == nil {
+		// A sensor stage served as a view (view.go) has no row face.
+		return nil, fmt.Errorf("%w: stage output %q is served as column batches only", ErrFragment, s.name)
+	}
 	return s.it, nil
 }
 
@@ -215,10 +227,14 @@ func WithParallelism(n int) Option {
 // inside a stage). Per-stage row/byte accounting accrues as batches flow
 // and is finalized by Close, which drains every stage — the accounting of a
 // fully drained chain matches the materialized baseline exactly even when
-// the consumer stopped early (LIMIT, cursor Close).
+// the consumer stopped early (LIMIT, cursor Close). A sensor stage served
+// as a view of its base table (view.go) is not run: it is accounted from
+// its scan snapshot, and its Close verifies what the consumer did not
+// reach.
 type Chain struct {
 	rel    *schema.Relation
-	stages []*stageIter
+	view   *viewStage   // stage 1 as a view; nil when every stage runs
+	stages []*stageIter // the stages that run, bottom first
 	closed bool
 }
 
@@ -235,9 +251,19 @@ func OpenChain(ctx context.Context, plan *Plan, base engine.Source, opts ...Opti
 	}
 
 	var src engine.Source = base
-	stages := make([]*stageIter, 0, len(plan.Fragments))
+	frags := plan.Fragments
+	view := newViewStage(ctx, plan, base)
+	if view != nil {
+		src = &colStageSource{
+			stageSource: &stageSource{base: base, name: view.f.Output, rel: view.rel},
+			cbase:       view.base,
+			view:        view,
+		}
+		frags = frags[1:]
+	}
+	stages := make([]*stageIter, 0, len(frags))
 	var rel *schema.Relation
-	for _, f := range plan.Fragments {
+	for _, f := range frags {
 		stageRel, it, decline, err := engine.New(src).WithParallelism(cfg.par).OpenStage(ctx, f.Root)
 		if err != nil {
 			// Abandon the chain. Open's own cleanup may already have
@@ -261,7 +287,7 @@ func OpenChain(ctx context.Context, plan *Plan, base engine.Source, opts ...Opti
 			src = &colStageSource{stageSource: out, cbase: cbase}
 		}
 	}
-	return &Chain{rel: rel, stages: stages}, nil
+	return &Chain{rel: rel, view: view, stages: stages}, nil
 }
 
 // Schema is the output relation of the final fragment.
@@ -274,15 +300,21 @@ func (c *Chain) Iterator() schema.RowIterator { return c.stages[len(c.stages)-1]
 
 // Close drain-closes the whole chain so every stage's accounting is final
 // even if the consumer stopped pulling early, and reports any error the
-// drain hit — a row the materialized baseline would have choked on, or the
-// context cancelled mid-drain. Close is idempotent; later calls return the
-// first result.
+// drain hit — a row the materialized baseline would have choked on, a
+// segment that fails its checksum, or the context cancelled mid-drain.
+// Close is idempotent; later calls return the first result.
 func (c *Chain) Close() error {
 	if !c.closed {
 		c.closed = true
 		for i := len(c.stages) - 1; i >= 0; i-- {
 			c.stages[i].Close()
 		}
+		if c.view != nil {
+			c.view.close()
+		}
+	}
+	if c.view != nil && c.view.err != nil {
+		return c.view.err
 	}
 	for _, st := range c.stages {
 		if st.err != nil {
@@ -295,10 +327,13 @@ func (c *Chain) Close() error {
 // Stages returns the per-stage accounting. Only final after Close (or after
 // the final iterator is exhausted and Close confirmed no drain error).
 func (c *Chain) Stages() []StageResult {
-	out := make([]StageResult, len(c.stages))
-	for i, st := range c.stages {
-		out[i] = StageResult{Fragment: st.f, Rows: st.rows, Bytes: st.bytes,
-			Columnar: st.col != nil, Declined: st.decline}
+	out := make([]StageResult, 0, len(c.stages)+1)
+	if c.view != nil {
+		out = append(out, c.view.result())
+	}
+	for _, st := range c.stages {
+		out = append(out, StageResult{Fragment: st.f, Rows: st.rows, Bytes: st.bytes,
+			Columnar: st.col != nil, Declined: st.decline})
 	}
 	return out
 }

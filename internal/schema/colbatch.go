@@ -576,3 +576,26 @@ type ColMorselSource interface {
 	NextColMorsel() (ColMorsel, error)
 	Close()
 }
+
+// ColView is one snapshot of a stored relation, opened for a consumer that
+// reads some of its columns while the whole relation counts as read: a
+// fragment chain's sensor stage (SELECT * FROM base) ships every column of
+// every row, and the stage above reads two or three of them. The view
+// serves the consumer's columns through exactly one of Scan or Morsels;
+// Size and Verify stand in for the rest, which is never decoded.
+type ColView interface {
+	// Size reports the snapshot's rows and full-width wire bytes — what
+	// every column of the relation weighed when the view opened, whatever
+	// the consumer reads.
+	Size() (rows, wireBytes int)
+	// Scan serves the snapshot's batches to one consumer.
+	Scan() ColIterator
+	// Morsels serves them to concurrent workers (see ColMorselSource).
+	Morsels() ColMorselSource
+	// Verify checks the integrity of every part of the snapshot no pull
+	// opened, without decoding it, and reports the first failure: a
+	// relation that ships a column must fail the same whether or not anyone
+	// reads it. Parts a pull opened were checked in full then. Call Verify
+	// once the consumer is done pulling.
+	Verify() error
+}

@@ -84,7 +84,7 @@ func TestCorruptRegionIsSegCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := data.(*diskSegData)
-	if _, err := seg.Load(nil); err != nil {
+	if _, err := seg.Load(nil, false); err != nil {
 		t.Fatalf("intact segment: %v", err)
 	}
 	raw, err := os.ReadFile(seg.path)
@@ -97,7 +97,7 @@ func TestCorruptRegionIsSegCorrupt(t *testing.T) {
 	if err := os.WriteFile(seg.path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seg.Load(nil); !errors.Is(err, errSegCorrupt) {
+	if _, err := seg.Load(nil, false); !errors.Is(err, errSegCorrupt) {
 		t.Fatalf("Load = %v, want errSegCorrupt", err)
 	}
 }

@@ -416,17 +416,23 @@ func readFooter(path string) (*diskFooter, error) {
 
 // diskSegData lazily decodes one on-disk segment. Load opens the file per
 // call (concurrent Loads never share state), reads only the requested
-// column regions and verifies each against its footer CRC.
+// column regions — every region, with check — and verifies each against
+// its footer CRC.
 type diskSegData struct {
 	path   string
 	footer *diskFooter
 }
 
-func (d *diskSegData) Load(cols []int) ([]schema.ColVec, error) {
+func (d *diskSegData) Load(cols []int, check bool) ([]schema.ColVec, error) {
 	if cols == nil {
 		cols = make([]int, len(d.footer.Cols))
 		for i := range cols {
 			cols[i] = i
+		}
+	}
+	for _, c := range cols {
+		if c < 0 || c >= len(d.footer.Cols) {
+			return nil, fmt.Errorf("%w: %s: column %d out of range", errSegCorrupt, d.path, c)
 		}
 	}
 	f, err := os.Open(d.path)
@@ -435,25 +441,69 @@ func (d *diskSegData) Load(cols []int) ([]schema.ColVec, error) {
 	}
 	defer f.Close()
 	out := make([]schema.ColVec, len(cols))
-	for k, c := range cols {
-		if c < 0 || c >= len(d.footer.Cols) {
-			return nil, fmt.Errorf("%w: %s: column %d out of range", errSegCorrupt, d.path, c)
+	if !check {
+		for k, c := range cols {
+			if out[k], err = d.decode(f, c); err != nil {
+				return nil, err
+			}
 		}
-		meta := d.footer.Cols[c]
-		region := make([]byte, meta.Len)
-		if _, err := f.ReadAt(region, meta.Off); err != nil {
+		return out, nil
+	}
+	// Every region in schema order, so a damaged segment fails on the same
+	// column a full-width Load would; the unselected ones are checksummed
+	// through one scratch buffer and never decoded.
+	want := make([][]int, len(d.footer.Cols)) // column -> its positions in out
+	for k, c := range cols {
+		want[c] = append(want[c], k)
+	}
+	var scratch []byte
+	for c, ks := range want {
+		if len(ks) == 0 {
+			if scratch, err = d.region(f, c, scratch); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		v, err := d.decode(f, c)
+		if err != nil {
 			return nil, err
 		}
-		if crc32.Checksum(region, crcTable) != meta.Crc {
-			return nil, fmt.Errorf("%w: %s: column %q checksum mismatch", errSegCorrupt, d.path, meta.Name)
+		for _, k := range ks {
+			out[k] = v
 		}
-		v, err := decodeColVec(region, schema.Type(meta.Type), d.footer.Rows)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: column %q: %v", errSegCorrupt, d.path, meta.Name, err)
-		}
-		out[k] = v
 	}
 	return out, nil
+}
+
+// region reads column c's region into buf (reallocated when too small) and
+// verifies it against the footer CRC.
+func (d *diskSegData) region(f *os.File, c int, buf []byte) ([]byte, error) {
+	meta := d.footer.Cols[c]
+	if int64(cap(buf)) < meta.Len {
+		buf = make([]byte, meta.Len)
+	}
+	buf = buf[:meta.Len]
+	if _, err := f.ReadAt(buf, meta.Off); err != nil {
+		return nil, err
+	}
+	if crc32.Checksum(buf, crcTable) != meta.Crc {
+		return nil, fmt.Errorf("%w: %s: column %q checksum mismatch", errSegCorrupt, d.path, meta.Name)
+	}
+	return buf, nil
+}
+
+// decode reads, verifies and decodes column c into a fresh region buffer.
+func (d *diskSegData) decode(f *os.File, c int) (schema.ColVec, error) {
+	meta := d.footer.Cols[c]
+	region, err := d.region(f, c, nil)
+	if err != nil {
+		return schema.ColVec{}, err
+	}
+	v, err := decodeColVec(region, schema.Type(meta.Type), d.footer.Rows)
+	if err != nil {
+		return schema.ColVec{}, fmt.Errorf("%w: %s: column %q: %v", errSegCorrupt, d.path, meta.Name, err)
+	}
+	return v, nil
 }
 
 // Column region encoding: one layout byte, then the payload.

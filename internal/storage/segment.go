@@ -355,8 +355,11 @@ type SealedSegment struct {
 type SegmentData interface {
 	// Load decodes the selected columns (nil cols = every column in schema
 	// order) and returns them in the requested order, each vector holding
-	// the segment's full row count. Unselected columns are never decoded.
-	Load(cols []int) ([]schema.ColVec, error)
+	// the segment's full row count. Unselected columns are never decoded;
+	// with check they are still read and verified, so the segment fails
+	// exactly as a full-width Load would — an empty non-nil cols checks the
+	// whole segment and decodes nothing.
+	Load(cols []int, check bool) ([]schema.ColVec, error)
 }
 
 // RecoveredSegment is one sealed segment surfaced by Backend.RecoverAll.

@@ -259,11 +259,27 @@ type scanPart struct {
 	get   func() (*schema.ColBatch, error)
 	batch *schema.ColBatch
 	err   error
+	// check verifies the whole part without decoding it: set on a view's
+	// on-disk segments (view.go), nil where there is nothing to verify.
+	check func() error
 }
 
 func (p *scanPart) open() (*schema.ColBatch, error) {
 	p.once.Do(func() { p.batch, p.err = p.get() })
 	return p.batch, p.err
+}
+
+// verifyUnopened checks a part no pull has opened, which from then on must
+// not be pulled (ColView.Verify runs after the consumer is done). A part a
+// pull opened was checked by that open, and its error, if any, went to that
+// pull.
+func (p *scanPart) verifyUnopened() error {
+	if p.check == nil {
+		return nil
+	}
+	var err error
+	p.once.Do(func() { err = p.check() })
+	return err
 }
 
 // tableSnap is a scan's view of the table: the projected relation and the
@@ -274,13 +290,18 @@ type tableSnap struct {
 	rel   *schema.Relation
 	parts []*scanPart
 	total int
+	// wire is the full-width wire size of the admitted rows, summed from
+	// the segments' seal-time sizes and the tail's running one.
+	wire int
 }
 
 // snapshotScan builds a scan snapshot over the selected columns (nil cols
 // keeps every column), consulting zone maps with the structured predicate
 // to skip segments. Pruning follows the soundness rule in segment.go; with
-// no predicate every part is admitted.
-func (t *Table) snapshotScan(cols []int, preds []schema.ColPred) *tableSnap {
+// no predicate every part is admitted. With check, opening an on-disk
+// segment also verifies the columns not served, and each such part can
+// verify itself unopened (view.go).
+func (t *Table) snapshotScan(cols []int, preds []schema.ColPred, check bool) *tableSnap {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	prune := len(preds) > 0
@@ -292,8 +313,9 @@ func (t *Table) snapshotScan(cols []int, preds []schema.ColPred) *tableSnap {
 			continue
 		}
 		scanned++
-		snap.parts = append(snap.parts, t.segPart(seg, cols))
+		snap.parts = append(snap.parts, t.segPart(seg, cols, check))
 		snap.total += seg.rows
+		snap.wire += seg.wire
 	}
 	if t.tailRows > 0 {
 		admit := true
@@ -308,6 +330,7 @@ func (t *Table) snapshotScan(cols []int, preds []schema.ColPred) *tableSnap {
 			scanned++
 			snap.parts = append(snap.parts, t.tailPartLocked(cols))
 			snap.total += t.tailRows
+			snap.wire += t.tailWire
 		} else {
 			skipped++
 		}
@@ -317,8 +340,9 @@ func (t *Table) snapshotScan(cols []int, preds []schema.ColPred) *tableSnap {
 	return snap
 }
 
-// segPart wraps one sealed segment as a scan part.
-func (t *Table) segPart(seg *segment, cols []int) *scanPart {
+// segPart wraps one sealed segment as a scan part. An in-memory segment has
+// nothing to verify, so check only concerns on-disk ones.
+func (t *Table) segPart(seg *segment, cols []int, check bool) *scanPart {
 	rel := t.schema.Project(cols)
 	n := seg.rows
 	p := &scanPart{nrows: n}
@@ -333,11 +357,17 @@ func (t *Table) segPart(seg *segment, cols []int) *scanPart {
 	data := seg.data
 	p.get = func() (*schema.ColBatch, error) {
 		t.segsOpened.Add(1)
-		vecs, err := data.Load(cols)
+		vecs, err := data.Load(cols, check)
 		if err != nil {
 			return nil, err
 		}
 		return &schema.ColBatch{Rel: rel, Vecs: vecs, N: n}, nil
+	}
+	if check {
+		p.check = func() error {
+			_, err := data.Load([]int{}, true)
+			return err
+		}
 	}
 	return p
 }
@@ -393,7 +423,7 @@ func windowBatch(b *schema.ColBatch, lo, hi int) *schema.ColBatch {
 // sealed segment that fails to load (a backend decode or checksum error)
 // fails the snapshot: a copy missing rows would pass for the table.
 func (t *Table) Snapshot() (schema.Rows, error) {
-	snap := t.snapshotScan(nil, nil)
+	snap := t.snapshotScan(nil, nil, false)
 	out := make(schema.Rows, 0, snap.total)
 	for _, p := range snap.parts {
 		b, err := p.open()
@@ -415,11 +445,19 @@ func (t *Table) Snapshot() (schema.Rows, error) {
 // The scan is bound to ctx: cancellation is checked on every pull, so a
 // cancelled query stops reading the table within one batch.
 func (t *Table) ScanColumns(ctx context.Context, sc schema.ColScan) schema.ColIterator {
-	batch := sc.BatchSize
-	if batch <= 0 {
-		batch = schema.DefaultBatchSize
+	return snapScan(ctx, t.snapshotScan(sc.Columns, sc.Predicate, false), scanBatch(sc))
+}
+
+// scanBatch is the rows per pull a scan request asks for.
+func scanBatch(sc schema.ColScan) int {
+	if sc.BatchSize <= 0 {
+		return schema.DefaultBatchSize
 	}
-	snap := t.snapshotScan(sc.Columns, sc.Predicate)
+	return sc.BatchSize
+}
+
+// snapScan serves a snapshot to one consumer, batch rows at a time.
+func snapScan(ctx context.Context, snap *tableSnap, batch int) *tableColScan {
 	return &tableColScan{ctx: ctx, cur: partCursor{snap: snap, batch: batch}}
 }
 
@@ -520,11 +558,11 @@ func (s *tableColScan) SizeHint() int { return s.cur.remaining() }
 // additionally bind their pipeline head to ctx, which guarantees the error
 // surfaces even if the morsel-level delivery is overtaken.
 func (t *Table) ScanColMorsels(ctx context.Context, sc schema.ColScan) schema.ColMorselSource {
-	batch := sc.BatchSize
-	if batch <= 0 {
-		batch = schema.DefaultBatchSize
-	}
-	snap := t.snapshotScan(sc.Columns, sc.Predicate)
+	return snapMorsels(ctx, t.snapshotScan(sc.Columns, sc.Predicate, false), scanBatch(sc))
+}
+
+// snapMorsels serves a snapshot as segment-aligned morsels of batch rows.
+func snapMorsels(ctx context.Context, snap *tableSnap, batch int) *tableColMorsels {
 	c := &morselCursor{ctx: ctx, snap: snap, batch: batch}
 	c.starts = make([]int, len(snap.parts)+1)
 	for i, p := range snap.parts {

@@ -30,9 +30,11 @@ sh scripts/docslint.sh
 step "structural guard"
 sh scripts/vecguard.sh
 
-# The golden plan snapshots (internal/plan/testdata) run as part of go
-# test; regenerate intentionally with:
+# The golden plan snapshots (internal/plan/testdata) and the Figure 3
+# snapshot (internal/experiments/testdata) run as part of go test;
+# regenerate intentionally with:
 #   go test ./internal/plan/ -run TestOptimizedPlanGoldens -update
+#   go test ./internal/experiments/ -run TestFigure3Golden -update
 step "go test"
 go test ./...
 

@@ -22,6 +22,10 @@
 # ColBatch.WireSize and handed to the next stage's kernels as they are; a
 # stage that ships rows has them built into vectors (schema.BatchFromRows)
 # once, rows to columns, never the other way.
+# internal/fragment/view.go serves a sensor stage that is SELECT * over its
+# base table as a view of that table: the next stage opens the table with
+# its own columns, the stage is accounted from the scan snapshot, and what
+# nobody reads is checksummed, never decoded — let alone pivoted.
 # server/ndjson.go appends NDJSON row lines; its batch entry point
 # (appendBatchRow, appendCell) reads the typed vectors of the final stage's
 # batches, so a columnar result reaches the socket without ever being rows
@@ -42,7 +46,7 @@ cd "$(dirname "$0")/.."
 
 status=0
 for f in internal/engine/veckernel.go internal/engine/vecjoin.go internal/engine/vecsort.go \
-	internal/fragment/colstage.go server/ndjson.go; do
+	internal/fragment/colstage.go internal/fragment/view.go server/ndjson.go; do
 	pattern='\.Rows()\|RowAt\|schema\.Row\b'
 	if [ "$f" = internal/engine/vecjoin.go ]; then
 		pattern='\.Rows()\|RowAt\|schema\.Rows\?\b\|\[\]schema\.Value'
